@@ -214,39 +214,43 @@ func BenchmarkCycleLoopAllocs(b *testing.B) {
 }
 
 // TestCycleLoopAllocBudget is the enforced form of BenchmarkCycleLoopAllocs:
-// a warmed core must average at most one heap allocation per simulated
-// instruction over a measured region. The pools make the true figure ~0;
-// the budget of 1.0 leaves room for the lazy stat-record refills without
-// ever re-admitting the old per-cycle allocation churn.
+// on every workload, with its hand slices on, a warmed core must average
+// at most 0.1 heap allocations per simulated instruction over a measured
+// region. The pools and slabs make the steady state allocation-free; the
+// residue (DESIGN.md, "Zero-allocation cycle loop") is lazy per-PC stat
+// records after ResetStats, an instruction list that outgrows its inline
+// capacity once, and one slab chunk per ~100 forks or predictions.
 func TestCycleLoopAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc accounting needs a quiet heap")
 	}
-	w, err := workloads.ByName("vpr")
-	if err != nil {
-		t.Fatal(err)
-	}
-	core := cpu.MustNew(cpu.Config4Wide(), w.Image, w.NewMemory(), w.Entry, w.SliceTable())
-	core.Run(20_000)
-	core.ResetStats()
+	const budget = 0.1
+	for _, w := range workloads.All() {
+		t.Run(w.Name, func(t *testing.T) {
+			core := cpu.MustNew(cpu.Config4Wide(), w.Image, w.NewMemory(), w.Entry, w.SliceTable())
+			core.Run(20_000)
+			core.ResetStats()
 
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	s := core.Run(60_000)
-	runtime.ReadMemStats(&after)
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			s := core.Run(60_000)
+			runtime.ReadMemStats(&after)
 
-	allocs := after.Mallocs - before.Mallocs
-	perInst := float64(allocs) / float64(s.MainRetired)
-	t.Logf("%d allocs over %d retired instructions, %d forks (%.4f/inst)",
-		allocs, s.MainRetired, s.Forks, perInst)
-	// The region must actually exercise the fork path, or the budget says
-	// nothing about per-fork allocations (e.g. live-in capture).
-	if s.Forks == 0 {
-		t.Error("measured region forked no slices; alloc budget does not cover the fork path")
-	}
-	if perInst > 1.0 {
-		t.Errorf("cycle loop allocated %.2f/inst, budget is 1.0 — pooling regressed", perInst)
+			allocs := after.Mallocs - before.Mallocs
+			perInst := float64(allocs) / float64(s.MainRetired)
+			t.Logf("%d allocs over %d retired instructions, %d forks (%.4f/inst)",
+				allocs, s.MainRetired, s.Forks, perInst)
+			// Every workload has hand slices, so its region must actually
+			// exercise the fork path, or the budget says nothing about
+			// per-fork allocations (live-in capture, instances, kills).
+			if s.Forks == 0 {
+				t.Error("measured region forked no slices; alloc budget does not cover the fork path")
+			}
+			if perInst > budget {
+				t.Errorf("cycle loop allocated %.3f/inst, budget is %.1f — pooling regressed", perInst, budget)
+			}
+		})
 	}
 }
 

@@ -448,7 +448,9 @@ func (h *Hierarchy) Tick(now uint64) {
 	// Drain one write-buffer entry per cycle when the bus is free.
 	if len(h.writeBuf) > 0 && h.memFree <= now {
 		line := h.writeBuf[0]
-		h.writeBuf = h.writeBuf[1:]
+		// Shift down in place: re-slicing past the head would walk the
+		// window off its backing array and reallocate on a later append.
+		h.writeBuf = h.writeBuf[:copy(h.writeBuf, h.writeBuf[1:])]
 		// Write-allocate the line (dirty) into L1.
 		if !h.L1D.Probe(line) {
 			if present, _ := h.PVB.Extract(line); present {

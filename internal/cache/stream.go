@@ -15,6 +15,9 @@ type StreamPrefetcher struct {
 	// Counters.
 	Launched  uint64 // prefetch requests issued to the hierarchy
 	Confirmed uint64 // misses that matched an existing stream
+
+	// out backs OnMiss's result, reused on every call.
+	out []uint64
 }
 
 type stream struct {
@@ -26,16 +29,17 @@ type stream struct {
 
 // NewStreamPrefetcher builds a prefetcher with n stream slots.
 func NewStreamPrefetcher(n, depth int) *StreamPrefetcher {
-	return &StreamPrefetcher{streams: make([]stream, n), Depth: depth}
+	return &StreamPrefetcher{streams: make([]stream, n), Depth: depth, out: make([]uint64, 0, max(depth, 1))}
 }
 
 // OnMiss records a demand miss of lineAddr (already line-aligned, in units
 // of one L1 line) and returns the list of line addresses to prefetch. The
 // hierarchy filters lines already cached or in flight and applies the
-// bandwidth gate.
+// bandwidth gate. The list lives in a buffer the prefetcher owns and is
+// valid only until the next OnMiss.
 func (p *StreamPrefetcher) OnMiss(lineAddr, lineBytes uint64) []uint64 {
 	p.clock++
-	var out []uint64
+	out := p.out[:0]
 
 	// A miss matching an existing stream confirms it: run further ahead.
 	for i := range p.streams {
@@ -50,6 +54,7 @@ func (p *StreamPrefetcher) OnMiss(lineAddr, lineBytes uint64) []uint64 {
 			}
 			s.nextLine = lineAddr + uint64(s.dir)*lineBytes
 			p.Launched += uint64(len(out))
+			p.out = out
 			return out
 		}
 	}
@@ -74,6 +79,7 @@ func (p *StreamPrefetcher) OnMiss(lineAddr, lineBytes uint64) []uint64 {
 	// Sequential next-block prefetch before any stride is known.
 	out = append(out, lineAddr+lineBytes)
 	p.Launched++
+	p.out = out
 	return out
 }
 

@@ -7,6 +7,7 @@ import (
 	"repro/internal/bpred"
 	"repro/internal/cache"
 	"repro/internal/mem"
+	"repro/internal/slab"
 	"repro/internal/slicehw"
 	"repro/internal/stats"
 )
@@ -48,6 +49,8 @@ type Core struct {
 	doneList   []*DynInst   // completeStage working set
 	cal        [][]calEntry // completion calendar (calendar.go)
 	ectx       execCtx      // scratch isa.State for fetchOne
+	// instSlab backs new pool instructions (allocInst).
+	instSlab slab.Slab[DynInst]
 
 	// retiring is the instruction currently inside retireInst, set across
 	// the RetireObserver call: it is popped from its ROB but not yet
@@ -186,7 +189,7 @@ func NewMulti(cfg Config, specs []ProgSpec) (*Core, error) {
 	}
 	c.main = c.progs[0].main
 	c.S = c.progs[0].S
-	c.cal = make([][]calEntry, calBuckets)
+	c.cal = newCalendar()
 
 	c.registry.Register("Sim", c.S)
 	c.registry.Register("Hier", &c.hier.Stats)

@@ -104,6 +104,19 @@ type DynInst struct {
 	MemResult   cache.Result
 	// forwarded marks loads satisfied by an in-flight store.
 	forwarded bool
+
+	// lists is the initial backing of KillRecs, Forked, waiters and
+	// olderStores (allocInst). A list that outgrows it moves to the heap
+	// once and keeps that capacity across recycling.
+	lists struct {
+		killRecs [1]*slicehw.KillRecord
+		forked   [1]*Thread
+		// Over all 12 workloads with slices on, ~85% of pooled
+		// instructions never have more than 8 waiters and ~75% never
+		// wait on more than 4 older stores.
+		waiters     [8]*DynInst
+		olderStores [4]*DynInst
+	}
 }
 
 // isHelper reports whether this instruction belongs to a helper thread.

@@ -56,6 +56,9 @@ func (c *Core) CheckInvariants() error {
 		if d.inReady {
 			return fmt.Errorf("cpu: pooled instruction seq=%d pc=%#x still marked in the ready list", d.Seq, d.PC)
 		}
+		if name := d.staleTail(); name != "" {
+			return fmt.Errorf("cpu: pooled instruction seq=%d pc=%#x holds a pointer past the end of %s", d.Seq, d.PC, name)
+		}
 		pooled[d] = true
 	}
 
@@ -172,6 +175,8 @@ func (c *Core) checkThread(t *Thread, pooled map[*DynInst]bool) error {
 			case d.Retired || d.Squashed:
 				return nil, fmt.Errorf("cpu: t%d %s[%d] (seq=%d) retired=%t squashed=%t but still queued",
 					t.ID, name, i, d.Seq, d.Retired, d.Squashed)
+			case d.staleTail() != "":
+				return nil, fmt.Errorf("cpu: t%d %s[%d] (seq=%d) holds a pointer past the end of %s", t.ID, name, i, d.Seq, d.staleTail())
 			case d.Dispatched != dispatched:
 				return nil, fmt.Errorf("cpu: t%d %s[%d] (seq=%d) dispatched=%t", t.ID, name, i, d.Seq, d.Dispatched)
 			case d.Issued && !d.Dispatched, d.Completed && !d.Issued:
@@ -235,4 +240,33 @@ func (c *Core) checkThread(t *Thread, pooled map[*DynInst]bool) error {
 		}
 	}
 	return nil
+}
+
+// staleTail names the first of d's reusable lists (KillRecs, Forked,
+// waiters, olderStores) that holds a non-nil pointer in [len:cap], or
+// returns "". scrub clears only [:len], relying on every shrinking path
+// to nil what it drops; a stale tail would pin a dead kill record, thread
+// or instruction in the pool.
+func (d *DynInst) staleTail() string {
+	switch {
+	case !nilTail(d.KillRecs):
+		return "KillRecs"
+	case !nilTail(d.Forked):
+		return "Forked"
+	case !nilTail(d.waiters):
+		return "waiters"
+	case !nilTail(d.olderStores):
+		return "olderStores"
+	}
+	return ""
+}
+
+// nilTail reports whether xs[len:cap] is all nil.
+func nilTail[T any](xs []*T) bool {
+	for _, x := range xs[len(xs):cap(xs)] {
+		if x != nil {
+			return false
+		}
+	}
+	return true
 }

@@ -64,6 +64,19 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 			want: "pool",
 		},
 		{
+			name: "pooled-stale-tail",
+			corrupt: func(c *Core) {
+				if len(c.pool) == 0 {
+					t.Skip("empty pool at the stop point")
+				}
+				// A shrink that forgot to nil the slot it dropped.
+				d := c.pool[0]
+				d.waiters = append(d.waiters, c.main.rob.front())
+				d.waiters = d.waiters[:len(d.waiters)-1]
+			},
+			want: "past the end of waiters",
+		},
+		{
 			name: "writer-chain-cycle",
 			corrupt: func(c *Core) {
 				for r := 0; r < isa.NumRegs; r++ {

@@ -29,7 +29,10 @@ import (
 // the snapshot-determinism test is the guard that a stale field can never
 // change simulated outcomes.
 
-// allocInst returns a scrubbed instruction, recycling the free list.
+// allocInst returns a scrubbed instruction, recycling the free list. A new
+// instruction comes from the core's DynInst slab, its four lists backed
+// by its own inline arrays (DynInst.lists), so first use does not grow
+// them one append at a time.
 func (c *Core) allocInst() *DynInst {
 	if n := len(c.pool); n > 0 {
 		d := c.pool[n-1]
@@ -38,13 +41,21 @@ func (c *Core) allocInst() *DynInst {
 		d.scrub()
 		return d
 	}
-	return &DynInst{}
+	d := c.instSlab.New()
+	d.KillRecs = d.lists.killRecs[:0]
+	d.Forked = d.lists.forked[:0]
+	d.waiters = d.lists.waiters[:0]
+	d.olderStores = d.lists.olderStores[:0]
+	return d
 }
 
 // scrub resets a recycled instruction while keeping the
-// KillRecs/Forked/waiters/olderStores backing arrays for reuse. The full
-// capacity of each slice is nil'd so the pool does not pin correlator
-// records or threads beyond the instruction's lifetime.
+// KillRecs/Forked/waiters/olderStores backing arrays for reuse. Only
+// [:len] of each slice is nil'd: every path that shrinks one of them
+// (CommitKill/UndoKill at retire and squash, wakeWaiters, dropStore,
+// removeWaiter, deregister) nils the dropped tail itself, so [len:cap] is
+// already nil. CheckInvariants verifies that, and the pool then pins no
+// correlator record or thread beyond the instruction's lifetime.
 //
 // Resetting is selective: a full-struct copy (`*d = DynInst{...}`) was the
 // hottest single line of the cycle loop, and most fields don't need it.
@@ -58,23 +69,11 @@ func (c *Core) allocInst() *DynInst {
 // Everything conditionally written in a lifetime is reset below; the
 // snapshot-determinism tests and the harness goldens guard the contract.
 func (d *DynInst) scrub() {
-	kr := d.KillRecs[:cap(d.KillRecs)]
-	for i := range kr {
-		kr[i] = nil
-	}
-	fk := d.Forked[:cap(d.Forked)]
-	for i := range fk {
-		fk[i] = nil
-	}
-	wt := d.waiters[:cap(d.waiters)]
-	for i := range wt {
-		wt[i] = nil
-	}
-	os := d.olderStores[:cap(d.olderStores)]
-	for i := range os {
-		os[i] = nil
-	}
-	d.KillRecs, d.Forked, d.waiters, d.olderStores = kr[:0], fk[:0], wt[:0], os[:0]
+	clear(d.KillRecs)
+	clear(d.Forked)
+	clear(d.waiters)
+	clear(d.olderStores)
+	d.KillRecs, d.Forked, d.waiters, d.olderStores = d.KillRecs[:0], d.Forked[:0], d.waiters[:0], d.olderStores[:0]
 
 	d.PredTaken, d.PredTarget = false, 0
 	d.NoTargetPred, d.Mispredicted = false, false

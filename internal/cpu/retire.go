@@ -149,9 +149,11 @@ func (c *Core) retireInst(di *DynInst) {
 	}
 
 	if p.corr != nil {
-		for _, rec := range di.KillRecs {
-			p.corr.CommitKill(rec)
+		for i, rec := range di.KillRecs {
+			p.corr.CommitKill(rec) // recycles rec
+			di.KillRecs[i] = nil
 		}
+		di.KillRecs = di.KillRecs[:0]
 	}
 
 	if di.undoMemValid {

@@ -1,12 +1,17 @@
 package cpu
 
 import (
+	"reflect"
+	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/asm"
 	"repro/internal/isa"
 	"repro/internal/mem"
 	"repro/internal/slicehw"
+	"repro/internal/stats"
+	"repro/internal/workloads"
 )
 
 // miniWorkload builds a small halting kernel with one slice: a scattered
@@ -260,5 +265,62 @@ func TestEightWideWithSlices(t *testing.T) {
 	}
 	if core.S.MainRetired != ref.Retired {
 		t.Errorf("retired %d vs reference %d", core.S.MainRetired, ref.Retired)
+	}
+}
+
+// TestSharedTableAcrossCores runs two cores at once on one workload's
+// slice table, as the harness's worker pool does. Everything a core reads
+// from a shared table, the covered-branch lists in particular, is fixed
+// when the table is built; a lazy fill would be a data race under -race.
+// Both cores must also simulate identically.
+func TestSharedTableAcrossCores(t *testing.T) {
+	w, err := workloads.ByName("gcc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	table := w.SliceTable()
+
+	// Both cores are built at the same moment, before this goroutine reads
+	// any list, so a list filled on first use would be written by one
+	// core build while the other reads it. (Starting the cores apart
+	// lets the first core's later reads evict its write from the race
+	// detector's history.)
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	snaps := make([]stats.Snapshot, 2)
+	for i := range snaps {
+		wg.Add(1)
+		m := w.NewMemory()
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			core := MustNew(Config4Wide(), w.Image, m, w.Entry, table)
+			core.Run(20_000)
+			snaps[i] = core.Snapshot()
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+
+	if snaps[0].Sim.Forks == 0 || snaps[0].Corr.LoopKills+snaps[0].Corr.SliceKills == 0 {
+		t.Fatal("the region neither forked nor killed; the shared lists went unread")
+	}
+	if !reflect.DeepEqual(snaps[0], snaps[1]) {
+		t.Error("two cores on one shared table simulated differently")
+	}
+	for _, s := range table.Slices() {
+		var want []uint64
+		for _, p := range s.PGIs {
+			if !slices.Contains(want, p.BranchPC) {
+				want = append(want, p.BranchPC)
+			}
+		}
+		got := s.CoveredBranchPCs()
+		if !slices.Equal(got, want) {
+			t.Errorf("slice %s covers %#x, want %#x", s.Name, got, want)
+		}
+		if again := s.CoveredBranchPCs(); len(got) > 0 && &again[0] != &got[0] {
+			t.Errorf("slice %s: covered list is rebuilt on every call", s.Name)
+		}
 	}
 }

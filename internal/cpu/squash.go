@@ -67,8 +67,10 @@ func (c *Core) squashInst(x *DynInst) {
 			p.corr.UndoUse(x.UsedPred)
 		}
 		for i := len(x.KillRecs) - 1; i >= 0; i-- {
-			p.corr.UndoKill(x.KillRecs[i])
+			p.corr.UndoKill(x.KillRecs[i]) // recycles the record
+			x.KillRecs[i] = nil
 		}
+		x.KillRecs = x.KillRecs[:0]
 		if x.AllocPred != nil {
 			p.corr.UndoAllocate(x.AllocPred)
 		}

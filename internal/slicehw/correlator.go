@@ -10,7 +10,10 @@ package slicehw
 // exactly (§5.2), and a prediction arriving after its branch was fetched is
 // handled as a late prediction with optional early resolution (§5.3).
 
-import "repro/internal/stats"
+import (
+	"repro/internal/slab"
+	"repro/internal/stats"
+)
 
 // PredState is the lifecycle state of Figure 10's per-prediction "state".
 type PredState uint8
@@ -109,11 +112,25 @@ type queue struct {
 type CorrStats = stats.CorrStats
 
 // Correlator is the branch-queue array of Figure 10.
+//
+// It allocates nothing in steady state. Pred and Instance values come from
+// slabs and are never reused: a squashed PGI may still Fill a removed
+// Pred, and a reaped helper still names its Instance, so a recycled value
+// would alias a live one. Kill records have exactly one owner (the
+// killing instruction) and one release point (CommitKill or UndoKill), so
+// they are recycled through a free list with their backing arrays.
 type Correlator struct {
 	queues       map[uint64]*queue
 	maxPerBranch int
 	liveBySlice  map[*Slice][]*Instance
 	nextID       uint64
+
+	predSlab  slab.Slab[Pred]
+	instSlab  slab.Slab[Instance]
+	entrySlab slab.Slab[*Pred] // Instance.entries backing arrays
+	// freeRecs holds released kill records, blank but for the capacity
+	// of their slices.
+	freeRecs []*KillRecord
 
 	// Tracer, when non-nil, receives one typed event per correlator
 	// mutation. The correlator has no clock: events leave with Cycle 0 and
@@ -146,19 +163,69 @@ func NewCorrelator(maxPerBranch int) *Correlator {
 	}
 }
 
+// queueFor returns branchPC's queue, creating it with room for
+// maxPerBranch entries: Allocate never exceeds that, and removals are in
+// place, so the queue never reallocates.
 func (c *Correlator) queueFor(branchPC uint64) *queue {
 	q := c.queues[branchPC]
 	if q == nil {
-		q = &queue{branchPC: branchPC}
+		q = &queue{branchPC: branchPC, entries: make([]*Pred, 0, c.maxPerBranch)}
 		c.queues[branchPC] = q
 	}
 	return q
 }
 
+// newInstance takes a zero Instance from the slab.
+func (c *Correlator) newInstance(id uint64, s *Slice) *Instance {
+	inst := c.instSlab.New()
+	inst.ID, inst.Slice = id, s
+	return inst
+}
+
+// newPred takes a zero Pred from the slab.
+func (c *Correlator) newPred(branchPC uint64, inst *Instance) *Pred {
+	p := c.predSlab.New()
+	p.BranchPC, p.inst = branchPC, inst
+	return p
+}
+
+// addEntry appends p to inst's allocation-order list. The list grows by
+// doubling into slab-carved arrays, starting at minInstEntries.
+func (c *Correlator) addEntry(inst *Instance, p *Pred) {
+	if len(inst.entries) == cap(inst.entries) {
+		grown := c.entrySlab.Carve(max(minInstEntries, 2*cap(inst.entries)))
+		inst.entries = append(grown, inst.entries...)
+	}
+	inst.entries = append(inst.entries, p)
+}
+
+// minInstEntries is the first capacity of an instance's entry list.
+const minInstEntries = 4
+
+// removeInPlace deletes the element at i, shifting the tail down and
+// nil'ing the vacated slot so the backing array keeps no stale pointer.
+// Callers must not be iterating xs.
+func removeInPlace[T any](xs []*T, i int) []*T {
+	copy(xs[i:], xs[i+1:])
+	xs[len(xs)-1] = nil
+	return xs[:len(xs)-1]
+}
+
+// dropLive deletes inst from its slice's live list.
+func (c *Correlator) dropLive(inst *Instance) {
+	live := c.liveBySlice[inst.Slice]
+	for i, li := range live {
+		if li == inst {
+			c.liveBySlice[inst.Slice] = removeInPlace(live, i)
+			return
+		}
+	}
+}
+
 // NewInstance registers a fork of s and returns its instance handle.
 func (c *Correlator) NewInstance(s *Slice) *Instance {
 	c.nextID++
-	inst := &Instance{ID: c.nextID, Slice: s}
+	inst := c.newInstance(c.nextID, s)
 	if s.LoopKillSkipFirst {
 		inst.skipLoopKill = 1
 	}
@@ -183,13 +250,7 @@ func (c *Correlator) RemoveInstance(inst *Instance) {
 	for _, p := range inst.entries {
 		c.removePred(p)
 	}
-	live := c.liveBySlice[inst.Slice]
-	for i, li := range live {
-		if li == inst {
-			c.liveBySlice[inst.Slice] = append(live[:i:i], live[i+1:]...)
-			break
-		}
-	}
+	c.dropLive(inst)
 }
 
 func (c *Correlator) removePred(p *Pred) {
@@ -203,7 +264,7 @@ func (c *Correlator) removePred(p *Pred) {
 	}
 	for i, e := range q.entries {
 		if e == p {
-			q.entries = append(q.entries[:i:i], q.entries[i+1:]...)
+			q.entries = removeInPlace(q.entries, i)
 			return
 		}
 	}
@@ -231,9 +292,9 @@ func (c *Correlator) Allocate(inst *Instance, branchPC uint64) *Pred {
 		c.Stats.QueueFull++
 		return nil
 	}
-	p := &Pred{BranchPC: branchPC, inst: inst}
+	p := c.newPred(branchPC, inst)
 	q.entries = append(q.entries, p)
-	inst.entries = append(inst.entries, p)
+	c.addEntry(inst, p)
 	c.Stats.Generated++
 	c.emit(stats.Event{Kind: stats.EvPredAlloc, PC: branchPC, Slice: inst.Slice.Index,
 		Inst: int(inst.ID), N: uint64(len(q.entries))})
@@ -362,6 +423,9 @@ func (c *Correlator) RedirectUse(p *Pred, dir bool) {
 }
 
 // KillRecord captures everything one kill instruction did, for exact undo.
+// The killing instruction owns it until CommitKill or UndoKill hands it
+// back to the correlator, which recycles it; the caller must drop its
+// reference there.
 type KillRecord struct {
 	Preds []*Pred // entries this kill marked
 	// skipInst is the instance whose first-iteration exemption this kill
@@ -373,7 +437,39 @@ type KillRecord struct {
 	// finishedInsts are the instances a slice kill retired (empty for
 	// loop kills).
 	finishedInsts []*Instance
-	slice         *Slice
+	slice         *Slice // nil while the record is on the free list
+}
+
+// newRecord takes a blank kill record for slice s off the free list.
+func (c *Correlator) newRecord(s *Slice) *KillRecord {
+	var rec *KillRecord
+	if n := len(c.freeRecs); n > 0 {
+		rec = c.freeRecs[n-1]
+		c.freeRecs[n-1] = nil
+		c.freeRecs = c.freeRecs[:n-1]
+	} else {
+		rec = &KillRecord{}
+	}
+	rec.slice = s
+	return rec
+}
+
+// release blanks rec, keeping its backing arrays, and returns it to the
+// free list. A record released twice would gain two owners, so that is a
+// bug and panics.
+func (c *Correlator) release(rec *KillRecord) {
+	if rec.slice == nil {
+		panic("slicehw: kill record released twice")
+	}
+	clear(rec.Preds)
+	clear(rec.skipSliceInsts)
+	clear(rec.finishedInsts)
+	rec.Preds = rec.Preds[:0]
+	rec.skipSliceInsts = rec.skipSliceInsts[:0]
+	rec.finishedInsts = rec.finishedInsts[:0]
+	rec.skipInst = nil
+	rec.slice = nil
+	c.freeRecs = append(c.freeRecs, rec)
 }
 
 // oldestLive returns the oldest unfinished instance of s.
@@ -395,11 +491,12 @@ func (c *Correlator) KillLoop(s *Slice) *KillRecord {
 		c.Stats.KillNoTarget++
 		return nil
 	}
+	rec := c.newRecord(s)
 	if inst.skipLoopKill > 0 {
 		inst.skipLoopKill--
-		return &KillRecord{skipInst: inst, slice: s}
+		rec.skipInst = inst
+		return rec
 	}
-	rec := &KillRecord{slice: s}
 	for _, bpc := range s.CoveredBranchPCs() {
 		q := c.queues[bpc]
 		if q == nil {
@@ -420,7 +517,8 @@ func (c *Correlator) KillLoop(s *Slice) *KillRecord {
 			}
 		}
 	}
-	if len(rec.Preds) == 0 && rec.skipInst == nil {
+	if len(rec.Preds) == 0 {
+		c.release(rec)
 		c.Stats.KillNoTarget++
 		return nil
 	}
@@ -434,7 +532,7 @@ func (c *Correlator) KillLoop(s *Slice) *KillRecord {
 // ahead) are spared once. Finishing every live instance is what lets the
 // correlator re-align itself after squash/replay churn leaves a backlog.
 func (c *Correlator) KillSlice(s *Slice) *KillRecord {
-	rec := &KillRecord{slice: s}
+	rec := c.newRecord(s)
 	for _, inst := range c.liveBySlice[s] {
 		if inst.finished {
 			continue
@@ -458,13 +556,15 @@ func (c *Correlator) KillSlice(s *Slice) *KillRecord {
 		}
 	}
 	if len(rec.finishedInsts) == 0 && len(rec.skipSliceInsts) == 0 {
+		c.release(rec)
 		c.Stats.KillNoTarget++
 		return nil
 	}
 	return rec
 }
 
-// UndoKill reverses a kill record (the killer was squashed).
+// UndoKill reverses a kill record (the killer was squashed) and recycles
+// it.
 func (c *Correlator) UndoKill(rec *KillRecord) {
 	if rec == nil {
 		return
@@ -483,11 +583,12 @@ func (c *Correlator) UndoKill(rec *KillRecord) {
 		inst.finished = false
 		c.emit(stats.Event{Kind: stats.EvUndoKill, Slice: rec.slice.Index, Inst: int(inst.ID), Level: "slice"})
 	}
+	c.release(rec)
 }
 
 // CommitKill physically deallocates killed entries once the killer
 // retires (predictions are "not deallocated until the kill instruction
-// retires", §5.2).
+// retires", §5.2), and recycles the record.
 func (c *Correlator) CommitKill(rec *KillRecord) {
 	if rec == nil {
 		return
@@ -497,14 +598,9 @@ func (c *Correlator) CommitKill(rec *KillRecord) {
 	}
 	for _, inst := range rec.finishedInsts {
 		// The instance's bookkeeping can go once its entries are gone.
-		live := c.liveBySlice[rec.slice]
-		for i, li := range live {
-			if li == inst {
-				c.liveBySlice[rec.slice] = append(live[:i:i], live[i+1:]...)
-				break
-			}
-		}
+		c.dropLive(inst)
 	}
+	c.release(rec)
 }
 
 // LiveList returns the unfinished instances of s, oldest first (debugging).

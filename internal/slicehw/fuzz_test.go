@@ -7,8 +7,9 @@ import (
 
 // TestFuzzCorrelatorInvariants drives the correlator with random but
 // legally-shaped operation sequences — allocations, fills, lookups, kills,
-// and undo of any of them in reverse order — and checks the structural
-// invariants the CPU relies on.
+// undo of any of them in reverse order, and commit in program order — and
+// checks the structural invariants the CPU relies on. Undo and commit both
+// recycle kill records, so later kills run on reused records.
 func TestFuzzCorrelatorInvariants(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
 		runCorrelatorInvariants(t, seed)
@@ -38,20 +39,27 @@ func runCorrelatorInvariants(t testing.TB, seed int64) {
 		},
 		LoopKillPC:  0x3000,
 		SliceKillPC: 0x3004,
+		// The seed's low bits pick the kill exemptions, so exempt kills
+		// (records that hold only a skipped instance) get recycled too.
+		LoopKillSkipFirst:  seed&1 != 0,
+		SliceKillSkipFirst: seed&2 != 0,
 	}
 	c := NewCorrelator(8)
 
+	// stack is the in-flight action log in program order: a squash undoes
+	// a suffix, a retirement commits a prefix.
 	type undoable struct {
-		kind string
-		pred *Pred
-		rec  *KillRecord
-		inst *Instance
+		kind     string
+		pred     *Pred
+		consumer int
+		rec      *KillRecord
+		inst     *Instance
 	}
 	var stack []undoable
 	var live []*Instance
 
 	for op := 0; op < 400; op++ {
-		switch rng.Intn(10) {
+		switch rng.Intn(11) {
 		case 0, 1: // fork
 			inst := c.NewInstance(s)
 			live = append(live, inst)
@@ -89,7 +97,7 @@ func runCorrelatorInvariants(t testing.TB, seed int64) {
 				if override && !p.Filled {
 					t.Fatalf("seed %d: override from an unfilled entry", seed)
 				}
-				stack = append(stack, undoable{kind: "use", pred: p})
+				stack = append(stack, undoable{kind: "use", pred: p, consumer: op})
 			}
 		case 7: // loop kill
 			if rec := c.KillLoop(s); rec != nil {
@@ -124,6 +132,23 @@ func runCorrelatorInvariants(t testing.TB, seed int64) {
 					c.UndoKill(u.rec)
 				}
 			}
+		case 10: // retire: commit a random prefix of the action stack
+			if len(stack) == 0 {
+				continue
+			}
+			n := 1 + rng.Intn(len(stack))
+			for _, u := range stack[:n] {
+				switch u.kind {
+				case "use":
+					c.DropConsumer(u.pred, u.consumer)
+				case "kill":
+					c.CommitKill(u.rec)
+				}
+			}
+			stack = append(stack[:0], stack[n:]...)
+		}
+		if err := c.CheckInvariants(); err != nil {
+			t.Fatalf("seed %d op %d: %v", seed, op, err)
 		}
 
 		// Invariants after every operation.

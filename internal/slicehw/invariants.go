@@ -18,7 +18,10 @@ import "fmt"
 //     the queues);
 //   - live-list consistency: liveBySlice holds only non-removed instances
 //     of the keyed slice, and every entry of a live instance points back
-//     at it.
+//     at it;
+//   - free kill records are blank: no slice, no skipped instance, and no
+//     pointer anywhere in the capacity of their slices (a stale one would
+//     leak into the record's next owner or pin dead entries).
 func (c *Correlator) CheckInvariants() error {
 	for pc, q := range c.queues {
 		if q.branchPC != pc {
@@ -74,7 +77,27 @@ func (c *Correlator) CheckInvariants() error {
 			}
 		}
 	}
+	for i, rec := range c.freeRecs {
+		if rec.slice != nil || rec.skipInst != nil {
+			return fmt.Errorf("slicehw: free kill record %d still names a slice or skipped instance", i)
+		}
+		if len(rec.Preds) != 0 || len(rec.skipSliceInsts) != 0 || len(rec.finishedInsts) != 0 ||
+			!allNil(rec.Preds[:cap(rec.Preds)]) || !allNil(rec.skipSliceInsts[:cap(rec.skipSliceInsts)]) ||
+			!allNil(rec.finishedInsts[:cap(rec.finishedInsts)]) {
+			return fmt.Errorf("slicehw: free kill record %d holds stale entries", i)
+		}
+	}
 	return nil
+}
+
+// allNil reports whether every element of xs is nil.
+func allNil[T any](xs []*T) bool {
+	for _, x := range xs {
+		if x != nil {
+			return false
+		}
+	}
+	return true
 }
 
 // ForEachLivePred calls f for every non-removed queued prediction entry.

@@ -77,16 +77,36 @@ type Slice struct {
 	// (instructions total, and inside the loop).
 	StaticSize int
 	LoopSize   int
+
+	// covered caches CoveredBranchPCs. NewTable fills it, before the table
+	// is shared; nothing writes it afterwards, so concurrent cores read it
+	// without synchronization.
+	covered []uint64
 }
 
 // CoveredBranchPCs returns the distinct problem branches this slice
-// predicts, in PGI order.
+// predicts, in PGI order. For a slice in a Table this is the list computed
+// when the table was built; callers must not modify it. A slice outside
+// any table computes a fresh list on every call.
 func (s *Slice) CoveredBranchPCs() []uint64 {
+	if s.covered != nil {
+		return s.covered
+	}
+	return distinctBranchPCs(s.PGIs)
+}
+
+// distinctBranchPCs returns the distinct BranchPCs of pgis, in order.
+func distinctBranchPCs(pgis []PGI) []uint64 {
 	var out []uint64
-	seen := make(map[uint64]bool)
-	for _, p := range s.PGIs {
-		if !seen[p.BranchPC] {
-			seen[p.BranchPC] = true
+	for i, p := range pgis {
+		seen := false
+		for _, q := range pgis[:i] {
+			if q.BranchPC == p.BranchPC {
+				seen = true
+				break
+			}
+		}
+		if !seen {
 			out = append(out, p.BranchPC)
 		}
 	}
@@ -136,6 +156,7 @@ func NewTable(slices []*Slice) (*Table, error) {
 			return nil, fmt.Errorf("slicehw: slice %q missing fork or slice PC", s.Name)
 		}
 		s.Index = i
+		s.covered = distinctBranchPCs(s.PGIs)
 		t.forkAt[s.ForkPC] = append(t.forkAt[s.ForkPC], s)
 		if s.LoopKillPC != 0 {
 			t.loopKillAt[s.LoopKillPC] = append(t.loopKillAt[s.LoopKillPC], s)

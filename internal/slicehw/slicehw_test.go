@@ -69,6 +69,21 @@ func TestSliceMetadata(t *testing.T) {
 	}
 }
 
+// TestTablePrecomputesCoveredBranches: tables are shared by concurrent
+// cores, so NewTable computes each slice's covered-branch list up front
+// and every later call returns that same list.
+func TestTablePrecomputesCoveredBranches(t *testing.T) {
+	s := testSlice()
+	s.PGIs = append(s.PGIs, PGI{SlicePC: 0x100014, BranchPC: 0x2020}, PGI{SlicePC: 0x100018, BranchPC: 0x2000})
+	MustTable([]*Slice{s})
+	if len(s.covered) != 2 || s.covered[0] != 0x2000 || s.covered[1] != 0x2020 {
+		t.Fatalf("NewTable left covered = %#x", s.covered)
+	}
+	if got := s.CoveredBranchPCs(); &got[0] != &s.covered[0] {
+		t.Error("CoveredBranchPCs rebuilt the list of a table slice")
+	}
+}
+
 // --- Correlator ---
 
 func TestBasicPredictionFlow(t *testing.T) {

@@ -175,7 +175,8 @@ func (c *Correlator) State() (*CorrState, error) {
 // SetState rebuilds the correlator from a flattened checkpoint, resolving
 // slice indices against table. The correlator must be freshly built (same
 // maxPerBranch as at capture; the harness guarantees this via the warm
-// config fingerprint).
+// config fingerprint). Instances and predictions come from the same slabs
+// the cycle loop allocates from.
 func (c *Correlator) SetState(st *CorrState, table *Table) error {
 	if st == nil {
 		return nil
@@ -187,13 +188,11 @@ func (c *Correlator) SetState(st *CorrState, table *Table) error {
 		if is.Slice < 0 || is.Slice >= len(slices) {
 			return fmt.Errorf("slicehw: checkpoint references slice %d of %d", is.Slice, len(slices))
 		}
-		insts[i] = &Instance{
-			ID:            is.ID,
-			Slice:         slices[is.Slice],
-			skipLoopKill:  is.SkipLoopKill,
-			skipSliceKill: is.SkipSliceKill,
-			finished:      is.Finished,
-		}
+		inst := c.newInstance(is.ID, slices[is.Slice])
+		inst.skipLoopKill = is.SkipLoopKill
+		inst.skipSliceKill = is.SkipSliceKill
+		inst.finished = is.Finished
+		insts[i] = inst
 	}
 
 	preds := make([]*Pred, len(st.Preds))
@@ -201,21 +200,17 @@ func (c *Correlator) SetState(st *CorrState, table *Table) error {
 		if ps.Inst < 0 || ps.Inst >= len(insts) {
 			return fmt.Errorf("slicehw: checkpoint prediction references instance %d of %d", ps.Inst, len(insts))
 		}
-		preds[i] = &Pred{
-			BranchPC: ps.BranchPC,
-			Filled:   ps.Filled,
-			Dir:      ps.Dir,
-			Used:     ps.Used,
-			UsedDir:  ps.UsedDir,
-			Killed:   ps.Killed,
-			inst:     insts[ps.Inst],
-		}
+		p := c.newPred(ps.BranchPC, insts[ps.Inst])
+		p.Filled, p.Dir = ps.Filled, ps.Dir
+		p.Used, p.UsedDir = ps.Used, ps.UsedDir
+		p.Killed = ps.Killed
+		preds[i] = p
 	}
 
 	c.nextID = st.NextID
 	c.queues = make(map[uint64]*queue, len(st.Queues))
 	for _, qs := range st.Queues {
-		q := &queue{branchPC: qs.BranchPC}
+		q := &queue{branchPC: qs.BranchPC, entries: make([]*Pred, 0, c.maxPerBranch)}
 		for _, pi := range qs.Entries {
 			if pi < 0 || pi >= len(preds) {
 				return fmt.Errorf("slicehw: checkpoint queue references prediction %d of %d", pi, len(preds))
@@ -229,7 +224,7 @@ func (c *Correlator) SetState(st *CorrState, table *Table) error {
 			if pi < 0 || pi >= len(preds) {
 				return fmt.Errorf("slicehw: checkpoint instance references prediction %d of %d", pi, len(preds))
 			}
-			insts[ii].entries = append(insts[ii].entries, preds[pi])
+			c.addEntry(insts[ii], preds[pi])
 		}
 	}
 	c.liveBySlice = make(map[*Slice][]*Instance, len(st.Live))
