@@ -21,6 +21,8 @@ import (
 
 	"repro/internal/cpu"
 	"repro/internal/harness"
+	"repro/internal/isa"
+	"repro/internal/isa/compiled"
 	"repro/internal/mem"
 	"repro/internal/workloads"
 )
@@ -378,6 +380,80 @@ func BenchmarkFunctionalExec(b *testing.B) {
 					}
 				}
 				b.SetBytes(region)
+			})
+		}
+	}
+}
+
+// execState is a plain isa.State over a register file and a Memory, with
+// no undo log: BenchmarkExecKernel's interpreter leg.
+type execState struct {
+	regs [isa.NumRegs]uint64
+	m    *mem.Memory
+}
+
+func (s *execState) Reg(r isa.Reg) uint64 { return s.regs[r] }
+
+func (s *execState) SetReg(r isa.Reg, v uint64) {
+	if r != isa.Zero {
+		s.regs[r] = v
+	}
+}
+
+func (s *execState) Load(addr uint64, size int) (uint64, bool)  { return s.m.Read(addr, size) }
+func (s *execState) Store(addr uint64, size int, v uint64) bool { return s.m.Write(addr, size, v) }
+
+// BenchmarkExecKernel is the layer benchmark for execute: it steps the
+// first 60k instructions of gcc and mcf one instruction at a time, with a
+// full isa.Outcome each, through Machine.Step (the compiled kernel over a
+// mem.Pager, what the detailed core runs at fetch) and through image
+// lookup plus isa.Execute over a plain isa.State on mem.Memory. ns/inst
+// is the time per stepped instruction; memory setup is off the clock.
+func BenchmarkExecKernel(b *testing.B) {
+	const region = 60_000
+	type engine struct {
+		name string
+		step func(w *workloads.Workload, m *mem.Memory) // runs region instructions
+	}
+	engines := []engine{
+		{"kernel", func(w *workloads.Workload, m *mem.Memory) {
+			ma := compiled.NewMachine(compiled.Cached(w.Image), m, w.Entry)
+			var out isa.Outcome
+			for n := 0; n < region; n++ {
+				if _, err := ma.Step(&out); err != nil || out.Halt {
+					b.Fatalf("stopped after %d instructions (err %v)", n, err)
+				}
+			}
+		}},
+		{"interp", func(w *workloads.Workload, m *mem.Memory) {
+			st := &execState{m: m}
+			pc := w.Entry
+			for n := 0; n < region; n++ {
+				in, ok := w.Image.At(pc)
+				if !ok {
+					b.Fatalf("fell off the image after %d instructions", n)
+				}
+				out := isa.Execute(in, pc, st)
+				if out.Halt {
+					b.Fatalf("halted after %d instructions", n)
+				}
+				pc = out.NextPC(pc)
+			}
+		}},
+	}
+	for _, name := range []string{"gcc", "mcf"} {
+		w := pickOne(b, name)
+		compiled.Cached(w.Image) // compile off the clock
+		for _, e := range engines {
+			e := e
+			b.Run(fmt.Sprintf("%s/exec=%s", name, e.name), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					m := w.NewMemory()
+					b.StartTimer()
+					e.step(w, m)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*region), "ns/inst")
 			})
 		}
 	}

@@ -192,7 +192,6 @@ func (c *Core) Checkpoint() (*Checkpoint, error) {
 		MainHalted:   p.halted,
 		WarmRetired:  c.S.MainRetired,
 		PC:           c.main.PC,
-		Regs:         c.main.Regs,
 		Hist:         c.main.Hist,
 		Path:         c.main.Path,
 		ICStallUntil: c.main.icStallUntil,
@@ -204,8 +203,9 @@ func (c *Core) Checkpoint() (*Checkpoint, error) {
 		PVB:          c.hier.PVB.State(),
 		Pref:         c.hier.Pref.State(),
 		Hier:         c.hier.State(),
-		Mem:          p.mem.Snapshot(),
+		Mem:          p.pg.Mem().Snapshot(),
 	}
+	copy(ck.Regs[:], c.main.Regs[:]) // the architectural registers, without the dump slot
 	for _, t := range c.threads {
 		ck.ThreadRAS = append(ck.ThreadRAS, t.RAS.StackState())
 	}
@@ -253,7 +253,7 @@ func Restore(cfg Config, image *asm.Image, ck *Checkpoint, sliceTable *slicehw.T
 
 	m := c.main
 	m.PC = ck.PC
-	m.Regs = ck.Regs
+	copy(m.Regs[:], ck.Regs[:])
 	m.Hist, m.Path = ck.Hist, ck.Path
 	m.icStallUntil = ck.ICStallUntil
 	m.Fetching = !ck.MainHalted

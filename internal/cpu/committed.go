@@ -7,7 +7,7 @@ package cpu
 // the one from before the *oldest* in-flight store — i.e., the retired
 // state.
 func (p *progState) committedRead(addr uint64, size int) (uint64, bool) {
-	v, ok := p.mem.Read(addr, size)
+	v, ok := p.pg.Load(addr, size)
 	for i := p.mainStores.len() - 1; i >= 0; i-- {
 		s := p.mainStores.at(i)
 		if s.Retired || s.Squashed || !s.undoMemValid {

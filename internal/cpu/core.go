@@ -6,6 +6,7 @@ import (
 	"repro/internal/asm"
 	"repro/internal/bpred"
 	"repro/internal/cache"
+	"repro/internal/isa/compiled"
 	"repro/internal/mem"
 	"repro/internal/slab"
 	"repro/internal/slicehw"
@@ -48,7 +49,6 @@ type Core struct {
 	storeWoken []*DynInst   // wakeups deferred to the end of issueStage
 	doneList   []*DynInst   // completeStage working set
 	cal        [][]calEntry // completion calendar (calendar.go)
-	ectx       execCtx      // scratch isa.State for fetchOne
 	// instSlab backs new pool instructions (allocInst).
 	instSlab slab.Slab[DynInst]
 
@@ -157,7 +157,7 @@ func NewMulti(cfg Config, specs []ProgSpec) (*Core, error) {
 		p := &progState{
 			index:    i,
 			image:    sp.Image,
-			mem:      sp.Mem,
+			code:     compiled.Cached(sp.Image),
 			weight:   cfg.progWeight(i),
 			physBase: uint64(i) * (progPhysStride + progPhysSkew),
 			predSalt: uint64(i) * progSaltStride,
@@ -175,6 +175,7 @@ func NewMulti(cfg Config, specs []ProgSpec) (*Core, error) {
 				}
 			}
 		}
+		p.pg.Init(sp.Mem)
 		p.mainStores = newInstRing(64)
 		p.initStatCache()
 		p.initSliceFlags()
@@ -234,9 +235,11 @@ func (c *Core) SliceTable() *slicehw.Table { return c.progs[0].sliceTable }
 // Main exposes program 0's main thread (tests).
 func (c *Core) Main() *Thread { return c.main }
 
-// Memory exposes program 0's speculative memory image (the oracle's
-// final-state check; architectural only when nothing is in flight).
-func (c *Core) Memory() *mem.Memory { return c.progs[0].mem }
+// Memory exposes program 0's speculative memory image (architectural
+// only when nothing is in flight). It is read-only while the core runs:
+// the core caches its pages (mem.Pager), so a direct write could leave
+// the core reading a stale copy-on-write page.
+func (c *Core) Memory() *mem.Memory { return c.progs[0].pg.Mem() }
 
 // Image exposes the code image program 0 executes.
 func (c *Core) Image() *asm.Image { return c.progs[0].image }

@@ -4,6 +4,7 @@ import (
 	"repro/internal/bpred"
 	"repro/internal/cache"
 	"repro/internal/isa"
+	"repro/internal/isa/compiled"
 	"repro/internal/slicehw"
 )
 
@@ -15,7 +16,10 @@ import (
 type DynInst struct {
 	Thread *Thread
 	Static *isa.Inst
-	PC     uint64
+	// op is Static's predecoded form, which executes it at fetch and
+	// carries its sources and destination.
+	op *compiled.Op
+	PC uint64
 	// Seq is the Von Neumann number: a global fetch-order sequence number
 	// used for ordering and squash-range identification (§5.2).
 	Seq uint64

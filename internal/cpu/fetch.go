@@ -3,6 +3,7 @@ package cpu
 import (
 	"repro/internal/bpred"
 	"repro/internal/isa"
+	"repro/internal/isa/compiled"
 	"repro/internal/slicehw"
 	"repro/internal/stats"
 )
@@ -100,8 +101,8 @@ func (c *Core) fetchFrom(t *Thread) {
 			t.icStallUntil = c.now + lat
 			return
 		}
-		in, ok := p.image.At(pc)
-		if !ok {
+		o := p.code.At(pc, &t.cur)
+		if o == nil {
 			// Fetch ran off the code image (a wrong path, or a slice
 			// falling off its end). Stop; a squash will restore Fetching.
 			t.Fetching = false
@@ -122,7 +123,7 @@ func (c *Core) fetchFrom(t *Thread) {
 				}
 			}
 		}
-		c.fetchOne(t, in, pc)
+		c.fetchOne(t, o, pc)
 	}
 }
 
@@ -186,10 +187,11 @@ func (c *Core) chooseFetchThread() *Thread {
 }
 
 // fetchOne fetches, functionally executes, and predicts one instruction.
-func (c *Core) fetchOne(t *Thread, in *isa.Inst, pc uint64) {
+func (c *Core) fetchOne(t *Thread, o *compiled.Op, pc uint64) {
 	p := t.prog
+	in := o.Inst()
 	di := c.allocInst()
-	di.Thread, di.Static, di.PC, di.Seq, di.FetchCycle = t, in, pc, c.seq, c.now
+	di.Thread, di.Static, di.op, di.PC, di.Seq, di.FetchCycle = t, in, o, pc, c.seq, c.now
 	c.seq++
 
 	if t.IsMain {
@@ -215,26 +217,17 @@ func (c *Core) fetchOne(t *Thread, in *isa.Inst, pc uint64) {
 		}
 	}
 
-	// Functional execution against the speculative state. Helper threads
-	// never store (§4.1): slices affect only microarchitectural state.
-	if !t.IsMain && in.IsStore() {
-		p.S.HelperStores++
-		di.Out = isa.Outcome{}
-	} else {
-		c.ectx = execCtx{c, t, di}
-		di.Out = isa.Execute(in, pc, &c.ectx)
-	}
+	c.execute(t, di)
 
 	// Register dependences and writer bookkeeping. Producers are
 	// subscribed to (sched.go) rather than polled: they wake this
 	// instruction at completion.
-	var srcs [3]isa.Reg
-	for _, src := range srcs[:in.SourcesInto(&srcs)] {
+	for _, src := range o.Sources() {
 		if w := t.lastWriter[src]; w != nil && !w.Completed {
 			c.addDep(di, w)
 		}
 	}
-	if dest, ok := in.Dest(); ok {
+	if dest, ok := o.Dest(); ok {
 		di.prevWriter = t.lastWriter[dest]
 		if di.prevWriter != nil {
 			di.prevWriter.nextWriter = di
@@ -242,12 +235,12 @@ func (c *Core) fetchOne(t *Thread, in *isa.Inst, pc uint64) {
 		t.lastWriter[dest] = di
 	}
 	if t.IsMain {
-		if in.IsStore() {
+		if o.IsStore() {
 			t.pendingStores = append(t.pendingStores, di)
 			if di.undoMemValid {
 				p.noteMainStore(di)
 			}
-		} else if in.IsLoad() {
+		} else if o.IsLoad() {
 			// Real disambiguation: subscribe to every older in-flight
 			// store; each wakes the load when its address generates.
 			for _, s := range t.pendingStores {
@@ -258,7 +251,7 @@ func (c *Core) fetchOne(t *Thread, in *isa.Inst, pc uint64) {
 
 	// Control flow: predict, steer fetch, checkpoint.
 	nextPC := pc + isa.InstBytes
-	if in.IsCtrl() {
+	if o.IsCtrl() {
 		nextPC = c.predictCtrl(t, di)
 	} else if di.Out.Halt {
 		t.Fetching = false
@@ -278,6 +271,45 @@ func (c *Core) fetchOne(t *Thread, in *isa.Inst, pc uint64) {
 
 	t.PC = nextPC
 	t.fetchq.pushBack(di)
+}
+
+// execute runs a fetched instruction functionally against its thread's
+// speculative state, through the compiled kernel and the program's Pager,
+// and records on di what undo() needs to reverse it: the overwritten
+// register (only when the instruction wrote one) and, for a main-thread
+// store, the bytes it overwrote — read before the store, also when the
+// store faults. noteMainStore and committedRead read that store record.
+func (c *Core) execute(t *Thread, di *DynInst) {
+	o, p := di.op, t.prog
+	var old uint64
+	if dest, ok := o.Dest(); ok {
+		old = t.Regs[dest]
+	}
+	switch {
+	case !t.IsMain && o.IsStore():
+		// Helper threads never store (§4.1): slices affect only
+		// microarchitectural state.
+		p.S.HelperStores++
+		di.Out = isa.Outcome{}
+		return
+	case !t.IsMain && o.IsLoad():
+		// Helper threads see the *committed* memory image of their own
+		// program: a real SMT's store buffer is private to the main thread
+		// until retirement, so slices never observe wrong-path stores
+		// (which would poison their predictions and prefetches).
+		v, ok := p.committedRead(o.Addr(&t.Regs), o.MemBytes())
+		compiled.ExecLoad(o, &t.Regs, v, ok, &di.Out)
+	default:
+		if o.IsStore() {
+			addr, size := o.Addr(&t.Regs), o.MemBytes()
+			di.undoMemVal, _ = p.pg.Load(addr, size)
+			di.undoMemValid, di.undoMemAddr, di.undoMemSize = true, addr, size
+		}
+		compiled.Exec(o, &t.Regs, &p.pg, &di.Out)
+	}
+	if di.Out.WroteReg {
+		di.undoRegValid, di.undoReg, di.undoRegVal = true, di.Out.Rd, old
+	}
 }
 
 // sliceHooksAtFetch services the slice table CAMs for a main-thread fetch:

@@ -97,12 +97,15 @@ func functionalWarm(cfg Config, image *asm.Image, memory *mem.Memory, entry uint
 		ma  *compiled.Machine
 	)
 	if interp {
-		eng = &interpEngine{image: image, ctx: funcCtx{regs: &t.Regs, m: memory}, pc: entry}
+		eng = &interpEngine{image: image, ctx: funcCtx{regs: (*[isa.NumRegs]uint64)(t.Regs[:isa.NumRegs]), m: memory}, pc: entry}
 	} else {
 		ma = compiled.NewMachine(compiled.Cached(image), memory, entry)
-		ma.SetRegs(&t.Regs)
+		ma.Regs = t.Regs
 		eng = ma
 	}
+	// Either engine writes memory behind the core's Pager. That is safe:
+	// the core executes nothing before Checkpoint, whose Snapshot bumps
+	// the memory's generation and so flushes the Pager.
 
 	var (
 		now     uint64
@@ -173,7 +176,7 @@ func functionalWarm(cfg Config, image *asm.Image, memory *mem.Memory, entry uint
 	}
 
 	if ma != nil {
-		ma.CopyRegs(&t.Regs)
+		t.Regs = ma.Regs
 	}
 	c.now = now
 	c.progs[0].halted = halted

@@ -161,6 +161,11 @@ func (c *Core) CheckInvariants() error {
 
 // checkThread validates one thread's rings and register-writer chains.
 func (c *Core) checkThread(t *Thread, pooled map[*DynInst]bool) error {
+	// The execute kernel reads Zero straight from slot 0 and sends writes
+	// to Zero into the dump slot, so slot 0 must never change.
+	if v := t.Regs[isa.Zero]; v != 0 {
+		return fmt.Errorf("cpu: t%d zero register holds %#x", t.ID, v)
+	}
 	checkRing := func(name string, r *instRing, dispatched bool) (last *DynInst, err error) {
 		var prev *DynInst
 		for i := 0; i < r.len(); i++ {

@@ -56,6 +56,11 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 			want:    "window",
 		},
 		{
+			name:    "zero-register-written",
+			corrupt: func(c *Core) { c.main.Regs[isa.Zero] = 1 },
+			want:    "zero register",
+		},
+		{
 			name: "pooled-live-inst",
 			corrupt: func(c *Core) {
 				// Recycle a live ROB entry without releasing it.

@@ -60,7 +60,7 @@ func (c *Core) allocInst() *DynInst {
 // Resetting is selective: a full-struct copy (`*d = DynInst{...}`) was the
 // hottest single line of the cycle loop, and most fields don't need it.
 // Fields fetchOne assigns unconditionally before anything can read them —
-// Thread, Static, PC, Seq, FetchCycle, Out, HistAfter, PathAfter,
+// Thread, Static, op, PC, Seq, FetchCycle, Out, HistAfter, PathAfter,
 // RASAfter, LoopAfter — keep their stale values through allocation. The
 // cycle timestamps (DispatchCycle, IssueCycle, CompleteCycle) and the
 // undo-log payloads (undoReg*, undoMem* other than the valid bits) are
@@ -94,7 +94,7 @@ func (d *DynInst) scrub() {
 // the pointers that could otherwise resurrect it.
 func (c *Core) releaseRetired(d *DynInst) {
 	t := d.Thread
-	if dest, ok := d.Static.Dest(); ok {
+	if dest, ok := d.op.Dest(); ok {
 		if t.lastWriter[dest] == d {
 			// A retired writer is Completed, which fetch's dependence scan
 			// treats exactly like "no in-flight producer".

@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"repro/internal/asm"
+	"repro/internal/isa/compiled"
 	"repro/internal/mem"
 	"repro/internal/slicehw"
 	"repro/internal/stats"
@@ -56,7 +57,14 @@ type ProgSpec struct {
 type progState struct {
 	index int
 	image *asm.Image
-	mem   *mem.Memory
+	// code is image compiled: fetch looks up each instruction's op here.
+	code *compiled.Program
+	// pg is the page-cached view of this program's memory, which it owns.
+	// While the core lives every store to that memory goes through it
+	// (main-thread stores and squash-undo writes; see mem.Pager's
+	// contract), and every load the core executes reads through it,
+	// committedRead's included.
+	pg mem.Pager
 
 	sliceTable *slicehw.Table
 	corr       *slicehw.Correlator

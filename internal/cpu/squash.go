@@ -60,7 +60,7 @@ func (c *Core) squashInst(x *DynInst) {
 	// Capture before undo() clears the record: a noted store must leave
 	// the committed-store queue.
 	notedStore := x.Thread.IsMain && x.undoMemValid
-	x.undo(c)
+	x.undo()
 
 	if p.corr != nil {
 		if x.UsedPred != nil {

@@ -3,13 +3,16 @@ package cpu
 import (
 	"repro/internal/bpred"
 	"repro/internal/isa"
+	"repro/internal/isa/compiled"
 	"repro/internal/slicehw"
 )
 
 // Thread is one hardware context. The main thread runs the program; helper
 // contexts run speculative slices. Regs is the *speculative* architectural
 // state maintained at fetch by the execute-at-fetch model; squashes rewind
-// it through the undo logs.
+// it through the undo logs. It is the compiled engine's register file:
+// indices below isa.NumRegs are the architectural registers (Zero reads
+// 0), and the extra dump slot absorbs writes to Zero.
 type Thread struct {
 	ID     int
 	IsMain bool
@@ -20,12 +23,15 @@ type Thread struct {
 	Fetching bool
 
 	PC   uint64
-	Regs [isa.NumRegs]uint64
+	Regs compiled.Regs
 
 	// prog is the program this thread serves: its own for a main thread,
 	// the forking main's for a helper. Set at New (mains) and at fork
 	// (helpers); never nil for a live thread.
 	prog *progState
+	// cur caches the compiled region of the last fetch from prog.code;
+	// reset clears it, since a helper may next serve another program.
+	cur compiled.Cursor
 
 	// Speculative front-end state.
 	Hist uint64
@@ -81,7 +87,8 @@ func (t *Thread) ProgIndex() int {
 
 // reset clears the context for reuse as a helper.
 func (t *Thread) reset() {
-	t.Regs = [isa.NumRegs]uint64{}
+	t.Regs = compiled.Regs{}
+	t.cur = compiled.Cursor{}
 	t.Hist, t.Path = 0, 0
 	t.fetchq.clear()
 	t.rob.clear()
@@ -95,66 +102,18 @@ func (t *Thread) reset() {
 	t.ForkInst = nil
 }
 
-// execCtx adapts a (core, thread, dyninst) triple to isa.State, recording
-// undo information on the instruction as side effects happen. The core owns
-// one scratch instance (Core.ectx): passing its pointer to isa.Execute
-// avoids boxing a fresh struct into the interface per fetched instruction.
-type execCtx struct {
-	c  *Core
-	t  *Thread
-	di *DynInst
-}
-
-func (e *execCtx) Reg(r isa.Reg) uint64 {
-	if r == isa.Zero {
-		return 0
-	}
-	return e.t.Regs[r]
-}
-
-func (e *execCtx) SetReg(r isa.Reg, v uint64) {
-	if r == isa.Zero {
-		return
-	}
-	e.di.undoRegValid = true
-	e.di.undoReg = r
-	e.di.undoRegVal = e.t.Regs[r]
-	e.t.Regs[r] = v
-}
-
-func (e *execCtx) Load(addr uint64, size int) (uint64, bool) {
-	if !e.t.IsMain {
-		// Helper threads see the *committed* memory image of their own
-		// program: a real SMT's store buffer is private to the main thread
-		// until retirement, so slices never observe wrong-path stores
-		// (which would poison their predictions and prefetches).
-		return e.t.prog.committedRead(addr, size)
-	}
-	return e.t.prog.mem.Read(addr, size)
-}
-
-func (e *execCtx) Store(addr uint64, size int, v uint64) bool {
-	m := e.t.prog.mem
-	old, _ := m.Read(addr, size)
-	e.di.undoMemValid = true
-	e.di.undoMemAddr = addr
-	e.di.undoMemSize = size
-	e.di.undoMemVal = old
-	return m.Write(addr, size, v)
-}
-
 // undo reverses the functional side effects of one instruction. Callers
 // must undo instructions youngest-first within a thread.
-func (d *DynInst) undo(c *Core) {
+func (d *DynInst) undo() {
 	if d.undoMemValid {
-		d.Thread.prog.mem.Write(d.undoMemAddr, d.undoMemSize, d.undoMemVal)
+		d.Thread.prog.pg.Store(d.undoMemAddr, d.undoMemSize, d.undoMemVal)
 		d.undoMemValid = false
 	}
 	if d.undoRegValid {
 		d.Thread.Regs[d.undoReg] = d.undoRegVal
 		d.undoRegValid = false
 	}
-	if dest, ok := d.Static.Dest(); ok && d.Thread.lastWriter[dest] == d {
+	if dest, ok := d.op.Dest(); ok && d.Thread.lastWriter[dest] == d {
 		d.Thread.lastWriter[dest] = d.prevWriter
 		if d.prevWriter != nil {
 			// d leaves the chain; its predecessor has no successor now.

@@ -1,16 +1,19 @@
-// Package compiled implements the predecoded threaded-code functional
-// engine: it compiles the code regions of an asm.Image into dense op
-// structs once, then executes them with a direct jump-table dispatch, no
-// per-instruction image lookup, no isa.State interface crossing, and an
-// inlined paged-memory fast path (mem.Pager).
+// Package compiled implements the predecoded execution engine: it compiles
+// the code regions of an asm.Image into dense Op structs once, then
+// executes them with a direct jump-table dispatch, no per-instruction
+// image lookup, no isa.State interface crossing, and an inlined
+// paged-memory fast path (mem.Pager).
 //
-// The engine exists because the functional model runs on every hot path
-// the simulator has: `-warm=functional` fast-forwards, checkpoint builds,
-// and the differential oracle shadowing every retirement. The original
-// decode-dispatch interpreter (isa.Execute) stays as the semantic
-// reference — the golden tests and FuzzCompiledVsInterp in this package
-// hold the two engines outcome-for-outcome equal — and isa.Outcome stays
-// the contract with the timing model.
+// Execution runs on every hot path the simulator has. The functional
+// model — `-warm=functional` fast-forwards, checkpoint builds, and the
+// differential oracle shadowing every retirement — runs Machine.Run and
+// Machine.Step; the detailed core executes every fetched instruction
+// through Exec, the single-instruction kernel Step is built on, so both
+// share one per-instruction semantics. The original decode-dispatch
+// interpreter (isa.Execute) stays as the semantic reference — the golden
+// tests and FuzzCompiledVsInterp in this package hold the two engines
+// outcome-for-outcome equal — and isa.Outcome stays the contract with the
+// timing model.
 //
 // Predecode does three things per instruction:
 //
@@ -24,11 +27,13 @@
 //     pair (i, i+1) while ops[i+1] still holds instruction i+1's own
 //     (possibly itself fused) decode, so every instruction address stays
 //     a valid branch-entry point;
-//   - keeps the unfused opcode alongside (op.plain), so single-stepping —
-//     the oracle's lockstep diff, the warm loop's per-instruction cache
-//     touching, and the run-boundary case where a fused pair would
-//     overshoot maxInsts — executes exactly one architectural
-//     instruction with a full isa.Outcome.
+//   - keeps the unfused opcode alongside (Op.plain), so single-stepping —
+//     the detailed core's execute-at-fetch, the oracle's lockstep diff,
+//     the warm loop's per-instruction cache touching, and the
+//     run-boundary case where a fused pair would overshoot maxInsts —
+//     executes exactly one architectural instruction with a full
+//     isa.Outcome. The slot also records the instruction's source and
+//     destination registers, which the detailed core's fetch reads.
 package compiled
 
 import (
@@ -54,11 +59,14 @@ const (
 // to slot 0, which no write path touches).
 const dump = isa.NumRegs
 
-// op is one predecoded, possibly fused, operation.
-type op struct {
+// Op is one predecoded, possibly fused, operation. Its exported methods
+// carry the per-fetch decode the detailed core needs (the instruction,
+// source and destination registers, effective address), computed once
+// at compile time.
+type Op struct {
 	kind isa.Op // dispatch code: the isa.Op for plain ops, kF* for fused
 	// plain is this slot's own architectural opcode (the first constituent
-	// when kind is fused); Step dispatches on it.
+	// when kind is fused); Exec dispatches on it.
 	plain isa.Op
 	wr    uint8 // write slot: rd, or dump when rd == Zero
 	rd    uint8 // architectural Rd (outcome reporting, store data, cmov old value)
@@ -70,19 +78,24 @@ type op struct {
 	wr2 uint8  // second write slot
 	k2  isa.Op // second constituent's opcode (load width / sign extension)
 	neg bool   // fused cmp+branch: branch is BEQ (taken when the compare is false)
+	// srcs[:nsrc] are the registers this slot's own instruction reads
+	// (isa.Inst.SourcesInto).
+	srcs [3]isa.Reg
+	nsrc uint8
 
-	imm  int64  // pre-extended immediate (shift-masked, LDIH pre-shifted)
-	imm2 int64  // fused: second immediate (kFLdiAdd: the precomputed sum)
-	tgt  int32  // direct branch target as an op index in this region; -1 otherwise
-	pc   uint64 // this op's address
-	tpc  uint64 // direct branch target address
+	in   *isa.Inst // this slot's own instruction, in the image
+	imm  int64     // pre-extended immediate (shift-masked, LDIH pre-shifted)
+	imm2 int64     // fused: second immediate (kFLdiAdd: the precomputed sum)
+	tgt  int32     // direct branch target as an op index in this region; -1 otherwise
+	pc   uint64    // this op's address
+	tpc  uint64    // direct branch target address
 }
 
 // region is one compiled code region.
 type region struct {
 	base uint64
 	end  uint64
-	ops  []op
+	ops  []Op
 }
 
 // Program is a compiled image: every code region predecoded, in address
@@ -111,7 +124,7 @@ func wrOf(r isa.Reg) uint8 {
 
 func compileRegion(pr *asm.Program) region {
 	insts := pr.Insts
-	r := region{base: pr.Base, end: pr.End(), ops: make([]op, len(insts))}
+	r := region{base: pr.Base, end: pr.End(), ops: make([]Op, len(insts))}
 	for i := range insts {
 		r.ops[i] = decodeOne(&insts[i], pr.Base+uint64(i)*isa.InstBytes, r.base, r.end)
 	}
@@ -124,9 +137,10 @@ func compileRegion(pr *asm.Program) region {
 }
 
 // decodeOne predecodes a single instruction into a plain op.
-func decodeOne(in *isa.Inst, pc, base, end uint64) op {
-	o := op{kind: in.Op, plain: in.Op, rd: uint8(in.Rd), ra: uint8(in.Ra), rb: uint8(in.Rb),
-		n: 1, imm: int64(in.Imm), pc: pc, tgt: -1}
+func decodeOne(in *isa.Inst, pc, base, end uint64) Op {
+	o := Op{kind: in.Op, plain: in.Op, rd: uint8(in.Rd), ra: uint8(in.Ra), rb: uint8(in.Rb),
+		n: 1, imm: int64(in.Imm), pc: pc, tgt: -1, in: in}
+	o.nsrc = uint8(in.SourcesInto(&o.srcs))
 	switch {
 	case in.Op >= isa.ADD && in.Op <= isa.CMOVLE:
 		o.wr = wrOf(in.Rd)
@@ -163,7 +177,7 @@ func isLoadOp(op isa.Op) bool { return op >= isa.LD && op <= isa.LDBU }
 // fuse rewrites a into a fused superop when (a, b) matches one of the
 // dominant dynamic pairs. b's own op slot (bop) supplies predecoded fields
 // of the second constituent (branch targets).
-func fuse(ao *op, a, b *isa.Inst, bop *op) {
+func fuse(ao *Op, a, b *isa.Inst, bop *Op) {
 	switch {
 	case (isCmpRR(a.Op) || isCmpRI(a.Op)) &&
 		(b.Op == isa.BEQ || b.Op == isa.BNE) &&
@@ -211,6 +225,59 @@ func (p *Program) regionFor(pc uint64) *region {
 		}
 	}
 	return nil
+}
+
+// Cursor remembers the region of a Program's previous lookup, so that a
+// thread fetching along one region skips the region search. The zero
+// Cursor is ready to use. A Cursor must only ever be used with one
+// Program; reset it to the zero value before using it with another.
+type Cursor struct {
+	r *region
+}
+
+// At returns the op at pc, or nil when pc is outside the image or not
+// instruction-aligned (asm.Image.At's false).
+func (p *Program) At(pc uint64, cur *Cursor) *Op {
+	r := cur.r
+	if r == nil || pc < r.base || pc >= r.end || (pc-r.base)%isa.InstBytes != 0 {
+		if r = p.regionFor(pc); r == nil {
+			return nil
+		}
+		cur.r = r
+	}
+	return &r.ops[(pc-r.base)/isa.InstBytes]
+}
+
+// Inst returns the instruction this op slot was decoded from (its own,
+// the first constituent when the slot is fused).
+func (o *Op) Inst() *isa.Inst { return o.in }
+
+// Sources returns the registers the instruction reads, as
+// isa.Inst.SourcesInto reports them.
+func (o *Op) Sources() []isa.Reg { return o.srcs[:o.nsrc] }
+
+// Dest returns the instruction's destination register, as isa.Inst.Dest
+// reports it: false when it writes none or writes Zero.
+func (o *Op) Dest() (isa.Reg, bool) { return isa.Reg(o.wr), o.wr != dump }
+
+// Addr returns the effective address of a memory instruction under regs.
+func (o *Op) Addr(regs *Regs) uint64 { return regs[o.ra] + uint64(o.imm) }
+
+// IsLoad reports whether the instruction reads memory.
+func (o *Op) IsLoad() bool { return o.plain >= isa.LD && o.plain <= isa.LDBU }
+
+// IsStore reports whether the instruction writes memory.
+func (o *Op) IsStore() bool { return o.plain >= isa.ST && o.plain <= isa.STB }
+
+// IsCtrl reports whether the instruction changes control flow.
+func (o *Op) IsCtrl() bool { return o.plain >= isa.BEQ && o.plain <= isa.RET }
+
+// MemBytes returns the access width of a memory instruction, or 0.
+func (o *Op) MemBytes() int {
+	if o.plain >= isa.LD && o.plain <= isa.STB {
+		return int(o.sz)
+	}
+	return 0
 }
 
 // OffImageError reports execution leaving the compiled image (or landing

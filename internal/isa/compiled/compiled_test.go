@@ -2,6 +2,7 @@ package compiled_test
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -640,5 +641,112 @@ func TestZeroRegisterInvariant(t *testing.T) {
 	}
 	if got := ma.Reg(1); got != 9 {
 		t.Errorf("r1 = %d, want 9 (Zero leaked a value)", got)
+	}
+}
+
+// TestOpDecodeMatchesInst holds the decode an Op carries for the detailed
+// core's fetch equal to isa.Inst's own methods, for every opcode under
+// register patterns that include Zero, with fused and unfused slots
+// alike, and Addr must give a memory instruction's effective address.
+// Program.At must find the same slots as asm.Image.At, through one
+// Cursor across two regions, and miss where the image misses.
+func TestOpDecodeMatchesInst(t *testing.T) {
+	var insts []isa.Inst
+	for op := isa.NOP; op <= isa.HALT; op++ {
+		for _, r := range [][3]isa.Reg{{1, 2, 3}, {isa.Zero, 2, 3}, {1, isa.Zero, isa.Zero}, {4, 4, 4}, {5, 6, 5}} {
+			insts = append(insts, isa.Inst{Op: op, Rd: r[0], Ra: r[1], Rb: r[2], Imm: -3})
+		}
+	}
+	// Compare+branch and scaled-add+load pairs, so fused slots are covered.
+	insts = append(insts,
+		isa.Inst{Op: isa.CMPLT, Rd: 7, Ra: 1, Rb: 2}, isa.Inst{Op: isa.BNE, Ra: 7, Imm: -2},
+		isa.Inst{Op: isa.S8ADD, Rd: 8, Ra: 1, Rb: 2}, isa.Inst{Op: isa.LDW, Rd: 9, Ra: 8, Imm: 4},
+		isa.Inst{Op: isa.LDI, Rd: 10, Imm: 5}, isa.Inst{Op: isa.ADDI, Rd: 11, Ra: 10, Imm: 6})
+	second := &asm.Program{Base: 0x80000, Insts: insts}
+	im := image(t, &asm.Program{Base: base, Insts: insts}, second)
+	prog := compiled.Compile(im)
+
+	var cur compiled.Cursor
+	for _, pr := range im.Programs() {
+		for i := range pr.Insts {
+			pc := pr.Base + uint64(i)*isa.InstBytes
+			in := &pr.Insts[i]
+			o := prog.At(pc, &cur)
+			if o == nil || o.Inst() != in {
+				t.Fatalf("At(%#x) = %v, want the slot of %v", pc, o, in)
+			}
+			if got, want := o.Sources(), in.Sources(); !slices.Equal(got, want) {
+				t.Errorf("%#x %v: Sources %v, want %v", pc, in, got, want)
+			}
+			gd, gok := o.Dest()
+			wd, wok := in.Dest()
+			if gok != wok || (wok && gd != wd) {
+				t.Errorf("%#x %v: Dest (%v, %v), want (%v, %v)", pc, in, gd, gok, wd, wok)
+			}
+			if o.IsLoad() != in.IsLoad() || o.IsStore() != in.IsStore() || o.IsCtrl() != in.IsCtrl() ||
+				o.MemBytes() != in.MemBytes() {
+				t.Errorf("%#x %v: class or width differs from the instruction's", pc, in)
+			}
+			if in.IsMem() {
+				var regs compiled.Regs
+				regs[in.Ra] = 0x1000
+				regs[isa.Zero] = 0
+				if got, want := o.Addr(&regs), regs[in.Ra]+uint64(int64(in.Imm)); got != want {
+					t.Errorf("%#x %v: Addr %#x, want %#x", pc, in, got, want)
+				}
+			}
+		}
+	}
+	for _, pc := range []uint64{base - isa.InstBytes, base + 2, second.End(), 0} {
+		if _, ok := im.At(pc); ok {
+			t.Fatalf("image maps %#x", pc)
+		}
+		if o := prog.At(pc, &cur); o != nil {
+			t.Errorf("At(%#x) = %v, want nil", pc, o.Inst())
+		}
+	}
+}
+
+// loadValueState is an isa.State whose loads return one fixed value: the
+// reference for ExecLoad, which completes a load from a value its caller
+// read elsewhere (the detailed core's committed image, for helpers).
+type loadValueState struct {
+	refState
+	v  uint64
+	ok bool
+}
+
+func (s *loadValueState) Load(uint64, int) (uint64, bool) { return s.v, s.ok }
+
+// TestExecLoadMatchesExecute holds ExecLoad equal to isa.Execute given
+// the same loaded value: sign extension for LDW, the Zero destination,
+// and the fault flag with a partial value.
+func TestExecLoadMatchesExecute(t *testing.T) {
+	for _, op := range []isa.Op{isa.LD, isa.LDW, isa.LDBU} {
+		for _, rd := range []isa.Reg{1, isa.Zero, 2} {
+			for _, ok := range []bool{true, false} {
+				in := isa.Inst{Op: op, Rd: rd, Ra: 2, Imm: -8}
+				p := &asm.Program{Base: base, Insts: []isa.Inst{in}}
+				o := compiled.Compile(image(t, p)).At(base, new(compiled.Cursor))
+				// The zero-extended value memory holds (LD's mask shifts out to
+				// all ones).
+				v := uint64(0x8000_0000_FFFF_FF80) & (1<<(8*uint(in.MemBytes())) - 1)
+
+				ref := &loadValueState{v: v, ok: ok}
+				ref.regs[2] = 0x40010
+				want := isa.Execute(&in, base, ref)
+
+				var regs compiled.Regs
+				regs[2] = 0x40010
+				var got isa.Outcome
+				compiled.ExecLoad(o, &regs, v, ok, &got)
+				if got != want {
+					t.Errorf("%v ok=%v: outcome\n got  %+v\n want %+v", &in, ok, got, want)
+				}
+				if !slices.Equal(regs[:isa.NumRegs], ref.regs[:]) {
+					t.Errorf("%v ok=%v: registers %v, want %v", &in, ok, regs[:isa.NumRegs], ref.regs)
+				}
+			}
+		}
 	}
 }

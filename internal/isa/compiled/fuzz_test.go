@@ -1,6 +1,7 @@
 package compiled_test
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 
@@ -13,26 +14,43 @@ import (
 // runCompiledVsInterp executes one random progen program on both engines
 // and diffs them two ways:
 //
-//   - lockstep: Machine.Step against isa.Execute, Outcome-for-Outcome,
-//     with the register files compared at every divergence candidate;
+//   - lockstep: Machine.Step (the Exec kernel over a Pager) against
+//     isa.Execute on a plain Memory, Outcome-for-Outcome, with the
+//     register files compared at every divergence candidate;
 //   - chunked: Machine.Run in uneven maxInsts chunks (slicing fused pairs
 //     at arbitrary points) against the interpreter's final state.
+//
+// Every memory starts from one shared snapshot of the initial image, so
+// the first store to each initial page is a copy-on-write, and further
+// snapshots land between random steps and chunks. Each bumps the memory's
+// generation, so the Pager must flush its cached pages and copy before
+// writing again; every snapshot must stay frozen to the end.
 func runCompiledVsInterp(t *testing.T, seed int64, chunk uint64) {
 	rng := rand.New(rand.NewSource(seed))
 	im, entry, init := progen.Program(rng)
 	prog := compiled.Compile(im)
 	const maxSteps = 2_000_000
+	const maxSnaps = 64 // per pass
+
+	initMem := mem.New()
+	init(initMem)
+	initSnap := initMem.Snapshot()
+	initBytes := initSnap.AppendTo(nil)
+	// frozen pairs each snapshot taken mid-run with the reference's
+	// snapshot of the same instant.
+	type frozen struct{ got, want *mem.Snapshot }
+	var snaps []frozen
+	nextSnap := func() int { return 1 + rng.Intn(256) }
 
 	// Lockstep pass.
-	refMem := mem.New()
-	init(refMem)
+	refMem := mem.NewFromSnapshot(initSnap)
 	ref := &refState{m: refMem}
-	maMem := mem.New()
-	init(maMem)
+	maMem := mem.NewFromSnapshot(initSnap)
 	ma := compiled.NewMachine(prog, maMem, entry)
 
 	pc := entry
 	steps := 0
+	snapAt := nextSnap()
 	for ; steps < maxSteps; steps++ {
 		in, ok := im.At(pc)
 		if !ok {
@@ -58,6 +76,10 @@ func runCompiledVsInterp(t *testing.T, seed int64, chunk uint64) {
 		if ma.PC() != pc {
 			t.Fatalf("seed %d: pc diverged after %#x: got %#x, want %#x", seed, pc, ma.PC(), pc)
 		}
+		if snapAt--; snapAt == 0 && len(snaps) < maxSnaps {
+			snaps = append(snaps, frozen{maMem.Snapshot(), refMem.Snapshot()})
+			snapAt = nextSnap()
+		}
 	}
 	if steps == maxSteps {
 		t.Fatalf("seed %d: program did not halt within %d steps", seed, maxSteps)
@@ -73,11 +95,16 @@ func runCompiledVsInterp(t *testing.T, seed int64, chunk uint64) {
 	}
 
 	// Chunked-Run pass against the lockstep-validated final state.
-	runMem := mem.New()
-	init(runMem)
+	runMem := mem.NewFromSnapshot(initSnap)
 	mb := compiled.NewMachine(prog, runMem, entry)
 	chunk = chunk%37 + 1
 	var retired uint64
+	// runSnaps pairs each snapshot with its serialized bytes at the time.
+	type taken struct {
+		s     *mem.Snapshot
+		bytes []byte
+	}
+	var runSnaps []taken
 	for !mb.Halted() {
 		n, err := mb.Run(chunk)
 		if err != nil {
@@ -86,6 +113,10 @@ func runCompiledVsInterp(t *testing.T, seed int64, chunk uint64) {
 		retired += n
 		if retired > maxSteps {
 			t.Fatalf("seed %d chunk %d: did not halt within %d insts", seed, chunk, maxSteps)
+		}
+		if rng.Intn(8) == 0 && len(runSnaps) < maxSnaps {
+			rs := runMem.Snapshot()
+			runSnaps = append(runSnaps, taken{rs, rs.AppendTo(nil)})
 		}
 	}
 	if retired != uint64(steps)+1 {
@@ -102,6 +133,21 @@ func runCompiledVsInterp(t *testing.T, seed int64, chunk uint64) {
 	}
 	if !runMem.Snapshot().Equal(refMem.Snapshot()) {
 		t.Fatalf("seed %d chunk %d: Run memories diverge", seed, chunk)
+	}
+
+	// Later stores must not have reached any snapshot.
+	for i, s := range snaps {
+		if !s.got.Equal(s.want) {
+			t.Fatalf("seed %d: lockstep snapshot %d of %d changed after it was taken", seed, i, len(snaps))
+		}
+	}
+	for i, s := range runSnaps {
+		if !bytes.Equal(s.s.AppendTo(nil), s.bytes) {
+			t.Fatalf("seed %d chunk %d: Run snapshot %d of %d changed after it was taken", seed, chunk, i, len(runSnaps))
+		}
+	}
+	if !bytes.Equal(initSnap.AppendTo(nil), initBytes) {
+		t.Fatalf("seed %d: the initial snapshot changed", seed)
 	}
 }
 

@@ -16,24 +16,30 @@ import (
 //     matches cpu.RunFunctional's architectural semantics exactly (main
 //     thread: faulting loads read zero, faulting stores are dropped,
 //     execution continues).
-//   - Step executes exactly one architectural instruction and fills a
-//     complete isa.Outcome, bit-identical to isa.Execute against the same
-//     state. The oracle's lockstep diff and the warm loop's per-
-//     instruction cache touching run on Step.
+//   - Step executes exactly one architectural instruction through the
+//     Exec kernel and fills a complete isa.Outcome, bit-identical to
+//     isa.Execute against the same state. The oracle's lockstep diff and
+//     the warm loop's per-instruction cache touching run on Step; the
+//     detailed core runs the same kernel at fetch.
 //
 // A Machine is single-threaded; create one per concurrent run.
 type Machine struct {
 	// Regs is the register file. Slot 0 is the architectural Zero register
 	// and is never written (compiled writes to Zero land in slot dump);
 	// slot dump (NumRegs) is write-only garbage.
-	Regs [isa.NumRegs + 1]uint64
+	Regs Regs
 
 	prog   *Program
 	pg     mem.Pager
 	pc     uint64
 	halted bool
-	r      *region // region containing pc, lazily looked up
+	cur    Cursor // region containing pc, lazily looked up
 }
+
+// Regs is a register file with the dump slot: slot 0 is the architectural
+// Zero register and is never written, and slot dump (NumRegs) absorbs the
+// writes compiled for rd == Zero and is never read.
+type Regs [isa.NumRegs + 1]uint64
 
 // NewMachine returns a Machine executing p against m, starting at pc.
 func NewMachine(p *Program, m *mem.Memory, pc uint64) *Machine {
@@ -133,7 +139,7 @@ func (ma *Machine) Run(maxInsts uint64) (uint64, error) {
 	regs := &ma.Regs
 	pg := &ma.pg
 	pc := ma.pc
-	r := ma.r
+	r := ma.cur.r
 	var retired uint64
 
 outer:
@@ -141,7 +147,7 @@ outer:
 		if r == nil || pc < r.base || pc >= r.end || (pc-r.base)%isa.InstBytes != 0 {
 			r = ma.prog.regionFor(pc)
 			if r == nil {
-				ma.r = nil
+				ma.cur.r = nil
 				ma.pc = pc
 				return retired, &OffImageError{PC: pc}
 			}
@@ -404,7 +410,7 @@ outer:
 				retired++
 				ma.halted = true
 				ma.pc = o.pc
-				ma.r = r
+				ma.cur.r = r
 				return retired, nil
 
 			case kFCmpBr:
@@ -517,136 +523,139 @@ outer:
 		pc = r.base + uint64(i)*isa.InstBytes
 	}
 	ma.pc = pc
-	ma.r = r
+	ma.cur.r = r
 	return retired, nil
 }
 
-// Step executes exactly one architectural instruction, filling out with
-// the same Outcome isa.Execute would produce, and returns the opcode (for
-// caller-side classification). On HALT the PC stays at the HALT
-// instruction; otherwise it advances to the outcome's next PC.
+// Step executes exactly one architectural instruction through Exec and
+// returns its opcode (for caller-side classification). On HALT the PC
+// stays at the HALT instruction; otherwise it advances to the outcome's
+// next PC.
 func (ma *Machine) Step(out *isa.Outcome) (isa.Op, error) {
-	*out = isa.Outcome{}
-	pc := ma.pc
-	r := ma.r
-	if r == nil || pc < r.base || pc >= r.end || (pc-r.base)%isa.InstBytes != 0 {
-		r = ma.prog.regionFor(pc)
-		if r == nil {
-			return isa.NOP, &OffImageError{PC: pc}
-		}
-		ma.r = r
+	o := ma.prog.At(ma.pc, &ma.cur)
+	if o == nil {
+		*out = isa.Outcome{}
+		return isa.NOP, &OffImageError{PC: ma.pc}
 	}
-	o := &r.ops[(pc-r.base)/isa.InstBytes]
-	regs := &ma.Regs
-	pg := &ma.pg
-
-	// setReg mirrors isa.Execute's: the register write plus the Outcome
-	// record, suppressed for the Zero destination.
-	setReg := func(v uint64) {
-		regs[o.wr] = v
-		if o.wr != dump {
-			out.WroteReg, out.Rd, out.Value = true, isa.Reg(o.rd), v
-		}
+	Exec(o, &ma.Regs, &ma.pg, out)
+	if out.Halt {
+		ma.halted = true
+	} else {
+		ma.pc = out.NextPC(ma.pc)
 	}
+	return o.plain, nil
+}
 
-	switch op := o.plain; op {
-	case isa.NOP:
-	case isa.ADD:
-		setReg(regs[o.ra] + regs[o.rb])
-	case isa.SUB:
-		setReg(regs[o.ra] - regs[o.rb])
-	case isa.MUL:
-		setReg(regs[o.ra] * regs[o.rb])
-	case isa.DIV:
-		if b := regs[o.rb]; b == 0 {
-			setReg(0)
-		} else {
-			setReg(uint64(int64(regs[o.ra]) / int64(b)))
-		}
-	case isa.AND:
-		setReg(regs[o.ra] & regs[o.rb])
-	case isa.OR:
-		setReg(regs[o.ra] | regs[o.rb])
-	case isa.XOR:
-		setReg(regs[o.ra] ^ regs[o.rb])
-	case isa.SLL:
-		setReg(regs[o.ra] << (regs[o.rb] & 63))
-	case isa.SRL:
-		setReg(regs[o.ra] >> (regs[o.rb] & 63))
-	case isa.SRA:
-		setReg(uint64(int64(regs[o.ra]) >> (regs[o.rb] & 63)))
-	case isa.CMPEQ, isa.CMPLT, isa.CMPLE, isa.CMPULT, isa.CMPULE:
-		setReg(cmpRR(op, regs[o.ra], regs[o.rb]))
-	case isa.S4ADD:
-		setReg(regs[o.ra]*4 + regs[o.rb])
-	case isa.S8ADD:
-		setReg(regs[o.ra]*8 + regs[o.rb])
-
-	case isa.ADDI:
-		setReg(regs[o.ra] + uint64(o.imm))
-	case isa.ANDI:
-		setReg(regs[o.ra] & uint64(o.imm))
-	case isa.ORI:
-		setReg(regs[o.ra] | uint64(o.imm))
-	case isa.XORI:
-		setReg(regs[o.ra] ^ uint64(o.imm))
-	case isa.SLLI:
-		setReg(regs[o.ra] << uint64(o.imm))
-	case isa.SRLI:
-		setReg(regs[o.ra] >> uint64(o.imm))
-	case isa.SRAI:
-		setReg(uint64(int64(regs[o.ra]) >> uint64(o.imm)))
-	case isa.CMPEQI, isa.CMPLTI, isa.CMPLEI, isa.CMPULTI:
-		setReg(cmpRI(op, regs[o.ra], o.imm))
-	case isa.LDI:
-		setReg(uint64(o.imm))
-	case isa.LDIH:
-		setReg(regs[o.ra] + uint64(o.imm))
-
-	case isa.CMOVEQ:
-		if regs[o.ra] == 0 {
-			setReg(regs[o.rb])
-		}
-	case isa.CMOVNE:
-		if regs[o.ra] != 0 {
-			setReg(regs[o.rb])
-		}
-	case isa.CMOVLT:
-		if int64(regs[o.ra]) < 0 {
-			setReg(regs[o.rb])
-		}
-	case isa.CMOVGE:
-		if int64(regs[o.ra]) >= 0 {
-			setReg(regs[o.rb])
-		}
-	case isa.CMOVGT:
-		if int64(regs[o.ra]) > 0 {
-			setReg(regs[o.rb])
-		}
-	case isa.CMOVLE:
-		if int64(regs[o.ra]) <= 0 {
-			setReg(regs[o.rb])
-		}
-
-	case isa.LD, isa.LDW, isa.LDBU:
-		out.IsMem = true
-		out.Addr = regs[o.ra] + uint64(o.imm)
-		out.Size = int(o.sz)
+// Exec is the single-instruction kernel. It executes the one
+// architectural instruction of o (its unfused opcode, whether or not the
+// slot is fused) against regs and pg, and fills out with the Outcome
+// isa.Execute would produce against the same state. It moves no PC.
+// Machine.Step and the detailed core's execute-at-fetch both run on it,
+// so the two share one per-instruction semantics.
+func Exec(o *Op, regs *Regs, pg *mem.Pager, out *isa.Outcome) {
+	op := o.plain
+	if op >= isa.LD && op <= isa.LDBU {
+		addr := regs[o.ra] + uint64(o.imm)
 		var v uint64
 		var ok bool
 		switch op {
 		case isa.LD:
-			v, ok = pg.Load64(out.Addr)
+			v, ok = pg.Load64(addr)
 		case isa.LDW:
-			v, ok = pg.Load32(out.Addr)
-			v = uint64(int64(int32(uint32(v))))
+			v, ok = pg.Load32(addr)
 		default:
-			v, ok = pg.Load8(out.Addr)
+			v, ok = pg.Load8(addr)
 		}
-		if !ok {
-			out.Fault = true
+		ExecLoad(o, regs, v, ok, out)
+		return
+	}
+
+	*out = isa.Outcome{}
+	var v uint64 // the register result, written below by ops that break
+	switch op {
+	case isa.ADD:
+		v = regs[o.ra] + regs[o.rb]
+	case isa.SUB:
+		v = regs[o.ra] - regs[o.rb]
+	case isa.MUL:
+		v = regs[o.ra] * regs[o.rb]
+	case isa.DIV:
+		if b := regs[o.rb]; b != 0 {
+			v = uint64(int64(regs[o.ra]) / int64(b))
 		}
-		setReg(v)
+	case isa.AND:
+		v = regs[o.ra] & regs[o.rb]
+	case isa.OR:
+		v = regs[o.ra] | regs[o.rb]
+	case isa.XOR:
+		v = regs[o.ra] ^ regs[o.rb]
+	case isa.SLL:
+		v = regs[o.ra] << (regs[o.rb] & 63)
+	case isa.SRL:
+		v = regs[o.ra] >> (regs[o.rb] & 63)
+	case isa.SRA:
+		v = uint64(int64(regs[o.ra]) >> (regs[o.rb] & 63))
+	case isa.CMPEQ, isa.CMPLT, isa.CMPLE, isa.CMPULT, isa.CMPULE:
+		v = cmpRR(op, regs[o.ra], regs[o.rb])
+	case isa.S4ADD:
+		v = regs[o.ra]*4 + regs[o.rb]
+	case isa.S8ADD:
+		v = regs[o.ra]*8 + regs[o.rb]
+
+	case isa.ADDI:
+		v = regs[o.ra] + uint64(o.imm)
+	case isa.ANDI:
+		v = regs[o.ra] & uint64(o.imm)
+	case isa.ORI:
+		v = regs[o.ra] | uint64(o.imm)
+	case isa.XORI:
+		v = regs[o.ra] ^ uint64(o.imm)
+	case isa.SLLI:
+		v = regs[o.ra] << uint64(o.imm)
+	case isa.SRLI:
+		v = regs[o.ra] >> uint64(o.imm)
+	case isa.SRAI:
+		v = uint64(int64(regs[o.ra]) >> uint64(o.imm))
+	case isa.CMPEQI, isa.CMPLTI, isa.CMPLEI, isa.CMPULTI:
+		v = cmpRI(op, regs[o.ra], o.imm)
+	case isa.LDI:
+		v = uint64(o.imm)
+	case isa.LDIH:
+		v = regs[o.ra] + uint64(o.imm)
+
+	// A conditional move that does not fire writes nothing and reports no
+	// register write.
+	case isa.CMOVEQ:
+		if regs[o.ra] != 0 {
+			return
+		}
+		v = regs[o.rb]
+	case isa.CMOVNE:
+		if regs[o.ra] == 0 {
+			return
+		}
+		v = regs[o.rb]
+	case isa.CMOVLT:
+		if int64(regs[o.ra]) >= 0 {
+			return
+		}
+		v = regs[o.rb]
+	case isa.CMOVGE:
+		if int64(regs[o.ra]) < 0 {
+			return
+		}
+		v = regs[o.rb]
+	case isa.CMOVGT:
+		if int64(regs[o.ra]) <= 0 {
+			return
+		}
+		v = regs[o.rb]
+	case isa.CMOVLE:
+		if int64(regs[o.ra]) > 0 {
+			return
+		}
+		v = regs[o.rb]
+
 	case isa.ST, isa.STW, isa.STB:
 		out.IsMem, out.IsStore = true, true
 		out.Addr = regs[o.ra] + uint64(o.imm)
@@ -661,15 +670,13 @@ func (ma *Machine) Step(out *isa.Outcome) (isa.Op, error) {
 		default:
 			ok = pg.Store8(out.Addr, byte(out.StoreVal))
 		}
-		if !ok {
-			out.Fault = true
-		}
+		out.Fault = !ok
+		return
 
 	case isa.BEQ, isa.BNE, isa.BLT, isa.BLE, isa.BGT, isa.BGE:
 		out.IsCtrl = true
-		// A fused slot's tgt/tpc belong to its second constituent; a branch
-		// is only ever the *first* constituent of no fusion, so when plain
-		// is a branch this slot is unfused and tpc is the branch's own.
+		// A branch is never the first constituent of a fusion, so when
+		// plain is a branch this slot is unfused and tpc is its own.
 		out.Target = o.tpc
 		a := regs[o.ra]
 		switch op {
@@ -686,29 +693,53 @@ func (ma *Machine) Step(out *isa.Outcome) (isa.Op, error) {
 		case isa.BGE:
 			out.Taken = int64(a) >= 0
 		}
+		return
 	case isa.BR:
 		out.IsCtrl, out.Taken = true, true
 		out.Target = o.tpc
+		return
 	case isa.JMP, isa.RET:
 		out.IsCtrl, out.Taken = true, true
 		out.Target = regs[o.ra]
+		return
 	case isa.CALL:
 		out.IsCtrl, out.Taken = true, true
 		out.Target = o.tpc
-		setReg(pc + isa.InstBytes)
+		v = o.pc + isa.InstBytes
 	case isa.CALLR:
 		out.IsCtrl, out.Taken = true, true
-		out.Target = regs[o.ra] // read before the link write
-		setReg(pc + isa.InstBytes)
+		out.Target = regs[o.ra] // read before the link write: ra may alias rd
+		v = o.pc + isa.InstBytes
 
 	case isa.FORK:
 		out.Fork = true
 		out.SliceIndex = int(int32(o.imm))
+		return
 	case isa.HALT:
 		out.Halt = true
-		ma.halted = true
-		return op, nil
+		return
+	default: // NOP
+		return
 	}
-	ma.pc = out.NextPC(pc)
-	return o.plain, nil
+	regs[o.wr] = v
+	if o.wr != dump {
+		out.WroteReg, out.Rd, out.Value = true, isa.Reg(o.rd), v
+	}
+}
+
+// ExecLoad completes the load o given v, the zero-extended value memory
+// holds at o.Addr(regs), and ok, false when the access faulted: it
+// applies LDW's sign extension, writes the destination and fills out.
+// Exec runs every load through it; the detailed core calls it directly
+// for helper-thread loads, whose value comes from the committed memory
+// image instead of a Pager.
+func ExecLoad(o *Op, regs *Regs, v uint64, ok bool, out *isa.Outcome) {
+	if o.plain == isa.LDW {
+		v = uint64(int64(int32(uint32(v))))
+	}
+	*out = isa.Outcome{IsMem: true, Addr: regs[o.ra] + uint64(o.imm), Size: int(o.sz), Fault: !ok}
+	regs[o.wr] = v
+	if o.wr != dump {
+		out.WroteReg, out.Rd, out.Value = true, isa.Reg(o.rd), v
+	}
 }

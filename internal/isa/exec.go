@@ -1,8 +1,11 @@
 package isa
 
-// State is the architectural state an instruction executes against. The CPU
-// model implements it with speculative register files and undo-logged
-// memory so that wrong-path execution can be rolled back.
+// State is the architectural state an instruction executes against, for
+// the decode-dispatch interpreter Execute. The interpreter is the semantic
+// reference: the compiled engine (isa/compiled), which both the functional
+// model and the detailed core execute on, is tested outcome-for-outcome
+// against it, and the reference functional paths implement State over a
+// plain register file and Memory.
 type State interface {
 	// Reg reads an architectural register. Reading Zero returns 0.
 	Reg(r Reg) uint64

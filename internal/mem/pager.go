@@ -26,9 +26,12 @@ type pagerEntry struct {
 const noPage = ^uint64(0)
 
 // Pager is an execution-loop view of a Memory that caches page lookups so
-// same-page accesses skip the page-table map. It exists for the compiled
-// functional engine: a straight-line run of loads and stores against hot
-// pages touches the map once per page, not once per access.
+// same-page accesses skip the page-table map: a straight-line run of loads
+// and stores against hot pages touches the map once per page, not once per
+// access. Both executors of the compiled kernel go through one: a
+// compiled.Machine owns a Pager over its memory, and the detailed core
+// owns one per program, for its fetch-time execution, squash undo and
+// committed-image reads.
 //
 // Semantics are identical to Memory.Read/Write, including fault reporting
 // and cross-page assembly (which falls back to the Memory slow path).
@@ -261,7 +264,7 @@ func (pg *Pager) store64Slow(addr, v uint64) bool {
 		binary.LittleEndian.PutUint64(pg.fillWrite(addr >> pageShift)[off:], v)
 		return true
 	}
-	return pg.m.Write(addr, 8, v)
+	return pg.storeSpan(addr, 8, v)
 }
 
 // Store32 writes 4 little-endian bytes; false on fault.
@@ -282,7 +285,7 @@ func (pg *Pager) store32Slow(addr uint64, v uint32) bool {
 		binary.LittleEndian.PutUint32(pg.fillWrite(addr >> pageShift)[off:], v)
 		return true
 	}
-	return pg.m.Write(addr, 4, uint64(v))
+	return pg.storeSpan(addr, 4, uint64(v))
 }
 
 // Store8 writes one byte; false on fault.
@@ -301,7 +304,7 @@ func (pg *Pager) store8Slow(addr uint64, v byte) bool {
 		pg.fillWrite(addr >> pageShift)[addr&(PageSize-1)] = v
 		return true
 	}
-	return pg.m.Write(addr, 1, uint64(v))
+	return pg.storeSpan(addr, 1, uint64(v))
 }
 
 // Load reads size bytes (1, 4, or 8) through the cache.
@@ -327,5 +330,24 @@ func (pg *Pager) Store(addr uint64, size int, v uint64) bool {
 	case 1:
 		return pg.Store8(addr, byte(v))
 	}
-	return pg.m.Write(addr, size, v)
+	return pg.storeSpan(addr, size, v)
+}
+
+// storeSpan is the store slow path the page cache cannot serve: a store
+// straddling two pages, or one touching the null page. Memory.Write may
+// privatize (copy-on-write) either page, so any cached entry for them is
+// dropped — a read-only entry would otherwise keep serving the shared
+// page's old bytes.
+func (pg *Pager) storeSpan(addr uint64, size int, v uint64) bool {
+	ok := pg.m.Write(addr, size, v)
+	pg.forget(addr >> pageShift)
+	pg.forget((addr + uint64(size) - 1) >> pageShift)
+	return ok
+}
+
+// forget drops the cached entry for page pn, if there is one.
+func (pg *Pager) forget(pn uint64) {
+	if e := &pg.e[pn&(pagerWays-1)]; e.pnR == pn {
+		*e = pagerEntry{pnR: noPage, pnW: noPage}
+	}
 }

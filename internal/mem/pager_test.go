@@ -173,3 +173,38 @@ func TestPagerCrossPage(t *testing.T) {
 		t.Errorf("halves = %#x, %#x", lo, hi)
 	}
 }
+
+// TestPagerCrossPageStoreOnSharedPage: a straddling store takes the
+// Memory slow path, which privatizes a copy-on-write page behind the
+// cache. A read-only entry cached for that page before the store must not
+// keep serving the shared page's old bytes afterwards.
+func TestPagerCrossPageStoreOnSharedPage(t *testing.T) {
+	src := New()
+	src.WriteU64(2*PageSize-8, 1)
+	src.WriteU64(2*PageSize, 2)
+	snap := src.Snapshot()
+
+	m := NewFromSnapshot(snap)
+	var pg Pager
+	pg.Init(m)
+	// Cache both shared pages read-only.
+	if v, _ := pg.Load64(2*PageSize - 8); v != 1 {
+		t.Fatalf("low page reads %d, want 1", v)
+	}
+	if v, _ := pg.Load64(2 * PageSize); v != 2 {
+		t.Fatalf("high page reads %d, want 2", v)
+	}
+	straddle := uint64(2*PageSize - 4)
+	if !pg.Store64(straddle, 0x1122334455667788) {
+		t.Fatal("cross-page store faulted")
+	}
+	if v, _ := pg.Load32(2*PageSize - 4); v != 0x55667788 {
+		t.Errorf("low half through the pager = %#x, want 0x55667788", v)
+	}
+	if v, _ := pg.Load32(2 * PageSize); v != 0x11223344 {
+		t.Errorf("high half through the pager = %#x, want 0x11223344", v)
+	}
+	if v, _ := NewFromSnapshot(snap).Read(2*PageSize-8, 8); v != 1 {
+		t.Errorf("snapshot reads %d after the store, want 1", v)
+	}
+}
