@@ -22,7 +22,7 @@
 //
 // -json runs every experiment (including figurepred, figureauto, and
 // figuremp) and emits one machine-readable document (schema
-// specslice-experiments/6)
+// specslice-experiments/7)
 // containing all tables and figures, for bench trajectories and plotting
 // scripts.
 //
@@ -47,7 +47,6 @@ import (
 	"os"
 	"time"
 
-	"repro/internal/bpred"
 	"repro/internal/harness"
 	"repro/internal/oracle"
 	"repro/internal/workloads"
@@ -61,40 +60,20 @@ func printSummary(e *harness.Engine) {
 	ck := st.Checkpoints
 	fmt.Fprintf(os.Stderr, "warm:   %d hits, %d misses, %d restores, disk %d loads / %d stores (%d bytes)\n",
 		ck.WarmHits, ck.WarmMisses, ck.Restores, ck.DiskLoads, ck.DiskStores, ck.DiskBytes)
-	// Store coordination counters only move with a shared -checkpoint-dir
-	// (or a size bound); keep the quiet case quiet.
-	if ck.SingleflightWaits+ck.LeaseTakeovers+ck.Evictions > 0 {
-		fmt.Fprintf(os.Stderr, "store:  %d singleflight waits (%d served by peers), %d lease takeovers, %d evictions (%d bytes reclaimed)\n",
-			ck.SingleflightWaits, ck.SingleflightHits, ck.LeaseTakeovers, ck.Evictions, ck.EvictedBytes)
-	}
 }
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "table1|table2|figure1|table3|figure11|table4|figurepred|figureauto|figuremp|all")
-		scale    = flag.Float64("scale", 1.0, "region scale factor")
-		only     = flag.String("workload", "", "restrict to one workload")
-		jobs     = flag.Int("jobs", 0, "max concurrent simulations (0 = GOMAXPROCS)")
-		verbose  = flag.Bool("v", false, "log every simulation and the memo summary")
-		asJSON   = flag.Bool("json", false, "emit all tables/figures as one JSON document (ignores -exp)")
-		ckDir    = flag.String("checkpoint-dir", "", "persist warm-up checkpoints in this directory (created if missing)")
-		ckMax    = flag.Int64("checkpoint-max-bytes", 0, "LRU-evict the checkpoint store past this size (0 = unbounded)")
-		warmFlg  = flag.String("warm", "detailed", "warm-up mode: detailed|functional|functional-interp")
-		useOrc   = flag.Bool("oracle", false, "validate every run against the functional model (differential oracle)")
-		orcEvery = flag.Int64("oracle-every", 0, "oracle invariant-sweep period in cycles (0 = default, <0 disables)")
-		orcOut   = flag.String("oracle-report", "", "write oracle divergence reports (JSON) to this file on failure")
-		bpredFlg = flag.String("bpred", "", "direction predictor for baseline configs, name[:params]")
-		ipredFlg = flag.String("ipred", "", "indirect target predictor for baseline configs, name[:params]")
+		exp     = flag.String("exp", "all", "table1|table2|figure1|table3|figure11|table4|figurepred|figureauto|figuremp|all")
+		scale   = flag.Float64("scale", 1.0, "region scale factor")
+		only    = flag.String("workload", "", "restrict to one workload")
+		jobs    = flag.Int("jobs", 0, "max concurrent simulations (0 = GOMAXPROCS)")
+		verbose = flag.Bool("v", false, "log every simulation and the memo summary")
+		asJSON  = flag.Bool("json", false, "emit all tables/figures as one JSON document (ignores -exp)")
+		rf      = harness.BindRunFlags(flag.CommandLine, "experiments")
 	)
 	flag.Parse()
-
-	// Resolve the predictor specs up front so a typo fails with the
-	// registry's name listing instead of deep inside a parallel batch.
-	if _, err := bpred.NewDir(*bpredFlg); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	if _, err := bpred.NewIndirect(*ipredFlg); err != nil {
+	if err := rf.Resolve(); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
@@ -113,21 +92,9 @@ func main() {
 			panic(r)
 		}
 		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-		if *orcOut != "" {
-			if werr := os.WriteFile(*orcOut, de.WriteReport(), 0o644); werr != nil {
-				fmt.Fprintln(os.Stderr, "experiments: oracle report:", werr)
-			} else {
-				fmt.Fprintf(os.Stderr, "experiments: oracle report written to %s\n", *orcOut)
-			}
-		}
+		rf.WriteOracleReport(err)
 		os.Exit(1)
 	}()
-
-	warmMode, err := harness.ParseWarmMode(*warmFlg)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
 
 	ws := workloads.All()
 	if *only != "" {
@@ -139,10 +106,9 @@ func main() {
 		ws = []*workloads.Workload{w}
 	}
 
-	e := harness.NewEngine(harness.Params{Scale: *scale, BPred: *bpredFlg, IndirectPred: *ipredFlg}, *jobs)
-	e.Ckpt = harness.NewCheckpointer(*ckDir, warmMode)
-	e.Ckpt.MaxBytes = *ckMax
-	e.Oracle = harness.OracleOptions{Enabled: *useOrc, Every: *orcEvery}
+	e := harness.NewEngine(harness.Params{Scale: *scale, BPred: rf.BPred, IndirectPred: rf.IPred}, *jobs)
+	e.Ckpt = rf.Checkpointer()
+	e.Oracle = rf.OracleOptions()
 	if *verbose {
 		e.Progress = func(ev harness.Event) {
 			mode := "base"

@@ -24,14 +24,12 @@ package main
 
 import (
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"strings"
 
-	"repro/internal/bpred"
 	"repro/internal/cpu"
 	"repro/internal/harness"
 	"repro/internal/oracle"
@@ -39,19 +37,6 @@ import (
 	"repro/internal/stats"
 	"repro/internal/workloads"
 )
-
-// writeOracleReport dumps the divergence list as JSON for CI artifacts.
-func writeOracleReport(path string, err error) {
-	var de *oracle.DivergenceError
-	if path == "" || !errors.As(err, &de) {
-		return
-	}
-	if werr := os.WriteFile(path, de.WriteReport(), 0o644); werr != nil {
-		fmt.Fprintln(os.Stderr, "slicesim: oracle report:", werr)
-	} else {
-		fmt.Fprintf(os.Stderr, "slicesim: oracle report written to %s\n", path)
-	}
-}
 
 func main() {
 	var (
@@ -68,20 +53,11 @@ func main() {
 		traceOut = flag.String("trace-out", "", "trace output file (default stdout)")
 		top      = flag.Int("top", 0, "print the N static instructions with the most PDEs")
 		perfect  = flag.Bool("perfect", false, "perfect branch prediction and caches (limit study)")
-		bpredFlg = flag.String("bpred", "", "direction predictor, name[:params] (e.g. yags, value, gshare:4096,10)")
-		ipredFlg = flag.String("ipred", "", "indirect target predictor, name[:params] (e.g. cascaded)")
 		asJSON   = flag.Bool("json", false, "emit the run's full counter snapshot as JSON")
-		ckDir    = flag.String("checkpoint-dir", "", "persist warm-up checkpoints in this directory (created if missing)")
-		ckMax    = flag.Int64("checkpoint-max-bytes", 0, "LRU-evict the checkpoint store past this size (0 = unbounded)")
-		warmFlg  = flag.String("warm", "detailed", "warm-up mode: detailed|functional|functional-interp")
-		useOrc   = flag.Bool("oracle", false, "validate the run against the functional model (differential oracle)")
-		orcEvery = flag.Int64("oracle-every", 0, "oracle invariant-sweep period in cycles (0 = default, <0 disables)")
-		orcOut   = flag.String("oracle-report", "", "write oracle divergence reports (JSON) to this file on failure")
+		rf       = harness.BindRunFlags(flag.CommandLine, "slicesim")
 	)
 	flag.Parse()
-
-	warmMode, err := harness.ParseWarmMode(*warmFlg)
-	if err != nil {
+	if err := rf.Resolve(); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
@@ -94,8 +70,7 @@ func main() {
 	}
 
 	if *multi != "" {
-		runMulti(*multi, *slices, *warmup, *run, *bpredFlg, *ipredFlg,
-			harness.OracleOptions{Enabled: *useOrc, Every: *orcEvery}, *orcOut, *asJSON)
+		runMulti(*multi, *slices, *warmup, *run, rf, *asJSON)
 		return
 	}
 
@@ -120,17 +95,7 @@ func main() {
 	if *perfect {
 		cfg.Perfect = cpu.Perfect{AllBranches: true, AllLoads: true}
 	}
-	cfg.BPred, cfg.IndirectPred = *bpredFlg, *ipredFlg
-	// Resolve the predictor specs up front so a typo fails with the
-	// registry's name listing instead of deep inside warm-up.
-	if _, err := bpred.NewDir(cfg.BPred); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	if _, err := bpred.NewIndirect(cfg.IndirectPred); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
+	cfg.BPred, cfg.IndirectPred = rf.BPred, rf.IPred
 	warm, region := w.SuggestedWarmup, w.SuggestedRun
 	if *warmup > 0 {
 		warm = *warmup
@@ -145,9 +110,7 @@ func main() {
 	// restored from the snapshot with zeroed counters. With -checkpoint-dir
 	// the snapshot persists, so re-running with different measurement-only
 	// flags (-perfect, -trace, -top) skips the warm-up simulation.
-	cp := harness.NewCheckpointer(*ckDir, warmMode)
-	cp.MaxBytes = *ckMax
-	core, ck, warmSrc, err := cp.WarmedCoreCkpt(w, cfg, useSlices, warm)
+	core, ck, warmSrc, err := rf.Checkpointer().WarmedCoreCkpt(w, cfg, useSlices, warm)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -162,14 +125,14 @@ func main() {
 		core.SetTracer(sink)
 	}
 	var orc *oracle.Oracle
-	if *useOrc {
+	if rf.Oracle {
 		// The oracle's functional model starts from the same warm checkpoint
 		// the measurement core restored from, so it validates the measured
 		// region regardless of how the warm-up was produced.
 		orc = oracle.FromCheckpoint(w.Image, ck, oracle.Options{
 			Workload: w.Name,
-			WarmKey:  harness.WarmKeyFor(w.Name, useSlices, warm, warmMode, cfg),
-			Every:    *orcEvery,
+			WarmKey:  harness.WarmKeyFor(w.Name, useSlices, warm, rf.Mode, cfg),
+			Every:    rf.OracleEvery,
 		})
 		orc.Attach(core)
 	}
@@ -186,7 +149,7 @@ func main() {
 		}
 		if err := orc.Err(); err != nil {
 			fmt.Fprintf(os.Stderr, "slicesim: %v\n", err)
-			writeOracleReport(*orcOut, err)
+			rf.WriteOracleReport(err)
 			os.Exit(1)
 		}
 		fmt.Fprintf(os.Stderr, "slicesim: oracle: %d retirements validated, no divergence\n", orc.Retired())
@@ -243,7 +206,7 @@ func main() {
 // Multi-programmed cores cannot be checkpointed, so the warm region runs
 // inline and -checkpoint-dir/-warm do not apply; when the oracle is on it
 // observes the warm region too.
-func runMulti(list string, withSlices bool, warm, run uint64, bpredSpec, ipredSpec string, o harness.OracleOptions, orcOut string, asJSON bool) {
+func runMulti(list string, withSlices bool, warm, run uint64, rf *harness.RunFlags, asJSON bool) {
 	var group []*workloads.Workload
 	for _, n := range strings.Split(list, ",") {
 		w, err := workloads.ByName(strings.TrimSpace(n))
@@ -253,14 +216,14 @@ func runMulti(list string, withSlices bool, warm, run uint64, bpredSpec, ipredSp
 		}
 		group = append(group, w)
 	}
-	p := harness.Params{BPred: bpredSpec, IndirectPred: ipredSpec}
-	snap, err := harness.RunMP(group, p, withSlices, warm, run, o)
+	p := harness.Params{BPred: rf.BPred, IndirectPred: rf.IPred}
+	snap, err := harness.RunMP(group, p, withSlices, warm, run, rf.OracleOptions())
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "slicesim:", err)
-		writeOracleReport(orcOut, err)
+		rf.WriteOracleReport(err)
 		os.Exit(1)
 	}
-	if o.Enabled {
+	if rf.Oracle {
 		fmt.Fprintln(os.Stderr, "slicesim: oracle: all programs validated, no divergence")
 	}
 

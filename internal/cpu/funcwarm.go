@@ -77,7 +77,7 @@ func FunctionalWarm(cfg Config, image *asm.Image, memory *mem.Memory, entry uint
 // interpreter instead of the compiled engine. Given identical inputs the
 // two must produce byte-identical checkpoints (see the equivalence test);
 // it exists as the always-available differential reference for the
-// compiled warm path (warm mode "functional-interp").
+// compiled warm path.
 func FunctionalWarmInterp(cfg Config, image *asm.Image, memory *mem.Memory, entry uint64, maxInsts uint64, sliceTable *slicehw.Table) (*Checkpoint, error) {
 	return functionalWarm(cfg, image, memory, entry, maxInsts, sliceTable, true)
 }

@@ -220,7 +220,6 @@ func TestFunctionalWarmWithinTolerance(t *testing.T) {
 func TestParseWarmMode(t *testing.T) {
 	for in, want := range map[string]WarmMode{
 		"": WarmDetailed, "detailed": WarmDetailed, "functional": WarmFunctional,
-		"functional-interp": WarmFunctionalInterp,
 	} {
 		got, err := ParseWarmMode(in)
 		if err != nil || got != want {
@@ -248,7 +247,6 @@ func TestWarmKeySharing(t *testing.T) {
 		WarmKeyFor("vpr", true, 100, WarmDetailed, base),
 		WarmKeyFor("vpr", false, 101, WarmDetailed, base),
 		WarmKeyFor("vpr", false, 100, WarmFunctional, base),
-		WarmKeyFor("vpr", false, 100, WarmFunctionalInterp, base),
 		WarmKeyFor("vpr", false, 100, WarmDetailed, predsOff),
 		WarmKeyFor("vpr", false, 100, WarmDetailed, cpu.Config8Wide()),
 	}

@@ -6,31 +6,13 @@ import "repro/internal/workloads"
 // whenever a field changes meaning or shape, so downstream consumers
 // (bench trajectories, plotting scripts) can dispatch on it.
 //
-// v2: engine block gained warm-checkpoint observability (warmHits,
-// warmMisses, restores, diskLoads, diskStores, diskBytes), and simInsts
-// stopped double-counting warm regions served from the checkpoint cache.
-//
-// v3: added figurePred, the predictor-stack comparison (slices vs value
-// prediction vs correlation mining vs perfect on the problem branches).
-// Purely additive: every v2 field is unchanged, so a v2 reader that
-// ignores unknown fields parses v3 documents, and a v3 reader sees an
-// empty figurePred in v2 documents.
-//
-// v4: added figureAuto, the closed-loop automatic slice construction
-// comparison (auto-built, oracle-validated slices vs the hand-built
-// ones). Purely additive, same compatibility story as v3.
-//
-// v5: engine block gained the checkpoint store's cross-process
-// coordination counters (singleflightWaits, singleflightHits,
-// leaseTakeovers, evictions, evictedBytes). Purely additive, same
-// compatibility story as v3/v4; the new counters are zero unless a
-// shared -checkpoint-dir (or the sweep service) is in play.
-//
-// v6: added figureMP, the multi-programmed SMT contention experiment
-// (per-co-schedule, per-program IPC with and without slices, slice
-// accuracy under contention, and cache-interference deltas). Purely
-// additive, same compatibility story as v3/v4/v5.
-const ExportSchema = "specslice-experiments/6"
+// v2: engine block gained the warm-checkpoint counters.
+// v3: added figurePred.
+// v4: added figureAuto.
+// v5: engine block gained the checkpoint store's coordination counters.
+// v6: added figureMP.
+// v7: engine block dropped v5's coordination counters.
+const ExportSchema = "specslice-experiments/7"
 
 // Export is the whole evaluation — every table and figure of the paper —
 // as one machine-readable document, the JSON counterpart of the formatted
@@ -69,36 +51,6 @@ type ExportEngine struct {
 	DiskLoads  uint64 `json:"diskLoads"`
 	DiskStores uint64 `json:"diskStores"`
 	DiskBytes  uint64 `json:"diskBytes"`
-
-	// Checkpoint store cross-process coordination (schema v5).
-	SingleflightWaits uint64 `json:"singleflightWaits"`
-	SingleflightHits  uint64 `json:"singleflightHits"`
-	LeaseTakeovers    uint64 `json:"leaseTakeovers"`
-	Evictions         uint64 `json:"evictions"`
-	EvictedBytes      uint64 `json:"evictedBytes"`
-}
-
-// Export renders the engine counters as the schema's engine block. The
-// sweep service reuses this type for its telemetry records, so a stats
-// consumer reads one shape everywhere.
-func (st EngineStats) Export() ExportEngine {
-	return ExportEngine{
-		Simulations:       st.Misses,
-		MemoHits:          st.Hits,
-		SimInsts:          st.SimInsts,
-		SimWallMS:         st.SimWall.Milliseconds(),
-		WarmHits:          st.Checkpoints.WarmHits,
-		WarmMisses:        st.Checkpoints.WarmMisses,
-		Restores:          st.Checkpoints.Restores,
-		DiskLoads:         st.Checkpoints.DiskLoads,
-		DiskStores:        st.Checkpoints.DiskStores,
-		DiskBytes:         st.Checkpoints.DiskBytes,
-		SingleflightWaits: st.Checkpoints.SingleflightWaits,
-		SingleflightHits:  st.Checkpoints.SingleflightHits,
-		LeaseTakeovers:    st.Checkpoints.LeaseTakeovers,
-		Evictions:         st.Checkpoints.Evictions,
-		EvictedBytes:      st.Checkpoints.EvictedBytes,
-	}
 }
 
 // Export runs every experiment for ws on the engine and assembles the
@@ -122,6 +74,18 @@ func (e *Engine) Export(ws []*workloads.Workload) Export {
 	doc.FigurePred = e.FigurePred(ws)
 	doc.FigureAuto = e.FigureAuto(ws)
 	doc.FigureMP = e.FigureMP(ws)
-	doc.Engine = e.Stats().Export()
+	st := e.Stats()
+	doc.Engine = ExportEngine{
+		Simulations: st.Misses,
+		MemoHits:    st.Hits,
+		SimInsts:    st.SimInsts,
+		SimWallMS:   st.SimWall.Milliseconds(),
+		WarmHits:    st.Checkpoints.WarmHits,
+		WarmMisses:  st.Checkpoints.WarmMisses,
+		Restores:    st.Checkpoints.Restores,
+		DiskLoads:   st.Checkpoints.DiskLoads,
+		DiskStores:  st.Checkpoints.DiskStores,
+		DiskBytes:   st.Checkpoints.DiskBytes,
+	}
 	return doc
 }

@@ -102,99 +102,3 @@ func TestExportDocumentShape(t *testing.T) {
 		t.Error("export document does not round-trip through JSON")
 	}
 }
-
-// TestExportReaderToleratesV2 locks the schema migration path: v3 is
-// purely additive, so this package's Export struct must parse a stored
-// v2 document, with figurePred simply absent.
-func TestExportReaderToleratesV2(t *testing.T) {
-	b, err := os.ReadFile(filepath.Join("testdata", "export_vpr.v2.golden.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc Export
-	if err := json.Unmarshal(b, &doc); err != nil {
-		t.Fatalf("v3 reader failed on a v2 document: %v", err)
-	}
-	if doc.Schema != "specslice-experiments/2" {
-		t.Errorf("schema = %q, want the stored v2 tag", doc.Schema)
-	}
-	if doc.FigurePred != nil {
-		t.Errorf("v2 document produced %d figurePred rows, want none", len(doc.FigurePred))
-	}
-	if len(doc.Table2) == 0 || len(doc.Figure11) == 0 || len(doc.Table4) == 0 ||
-		doc.Engine.Simulations == 0 {
-		t.Error("v2 fields did not survive the v3 reader")
-	}
-}
-
-// TestExportReaderToleratesV4 does the same for the v4 → v5 step: v5 only
-// added engine-block coordination counters, so a stored v4 document must
-// parse with those counters zero and everything else intact.
-func TestExportReaderToleratesV4(t *testing.T) {
-	b, err := os.ReadFile(filepath.Join("testdata", "export_vpr.v4.golden.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc Export
-	if err := json.Unmarshal(b, &doc); err != nil {
-		t.Fatalf("v5 reader failed on a v4 document: %v", err)
-	}
-	if doc.Schema != "specslice-experiments/4" {
-		t.Errorf("schema = %q, want the stored v4 tag", doc.Schema)
-	}
-	if doc.Engine.SingleflightWaits != 0 || doc.Engine.Evictions != 0 {
-		t.Error("v4 document produced nonzero v5 coordination counters")
-	}
-	if len(doc.FigureAuto) == 0 || len(doc.FigurePred) == 0 || len(doc.Table2) == 0 ||
-		doc.Engine.Simulations == 0 {
-		t.Error("v4 fields did not survive the v5 reader")
-	}
-}
-
-// TestExportReaderToleratesV5 does the same for the v5 → v6 step: v6 only
-// added figureMP, so a stored v5 document must parse with figureMP absent
-// and everything else intact.
-func TestExportReaderToleratesV5(t *testing.T) {
-	b, err := os.ReadFile(filepath.Join("testdata", "export_vpr.v5.golden.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc Export
-	if err := json.Unmarshal(b, &doc); err != nil {
-		t.Fatalf("v6 reader failed on a v5 document: %v", err)
-	}
-	if doc.Schema != "specslice-experiments/5" {
-		t.Errorf("schema = %q, want the stored v5 tag", doc.Schema)
-	}
-	if doc.FigureMP != nil {
-		t.Errorf("v5 document produced %d figureMP rows, want none", len(doc.FigureMP))
-	}
-	if len(doc.FigureAuto) == 0 || len(doc.FigurePred) == 0 || len(doc.Table2) == 0 ||
-		doc.Engine.Simulations == 0 {
-		t.Error("v5 fields did not survive the v6 reader")
-	}
-}
-
-// TestExportReaderToleratesV3 does the same for the v3 → v4 step: v4 only
-// added figureAuto, so a stored v3 document must parse with figureAuto
-// absent and everything else intact.
-func TestExportReaderToleratesV3(t *testing.T) {
-	b, err := os.ReadFile(filepath.Join("testdata", "export_vpr.v3.golden.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc Export
-	if err := json.Unmarshal(b, &doc); err != nil {
-		t.Fatalf("v4 reader failed on a v3 document: %v", err)
-	}
-	if doc.Schema != "specslice-experiments/3" {
-		t.Errorf("schema = %q, want the stored v3 tag", doc.Schema)
-	}
-	if doc.FigureAuto != nil {
-		t.Errorf("v3 document produced %d figureAuto rows, want none", len(doc.FigureAuto))
-	}
-	if len(doc.FigurePred) == 0 || len(doc.Table2) == 0 || len(doc.Figure11) == 0 ||
-		doc.Engine.Simulations == 0 {
-		t.Error("v3 fields did not survive the v4 reader")
-	}
-}

@@ -1,287 +1,79 @@
 package harness
 
 import (
-	"bytes"
-	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/cpu"
+	"repro/internal/stats"
 )
 
-// storeLease compresses the lease clock for tests that exercise staleness.
-// Returns a restore func; tests in this package run sequentially, so the
-// package vars are safe to swap.
-func storeLease(t *testing.T, ttl, beat, poll time.Duration) {
-	t.Helper()
-	oldTTL, oldBeat, oldPoll := leaseTTL, leaseHeartbeat, leasePoll
-	oldWarn := staleLeaseWarned.Load()
-	leaseTTL, leaseHeartbeat, leasePoll = ttl, beat, poll
-	staleLeaseWarned.Store(false)
-	t.Cleanup(func() {
-		leaseTTL, leaseHeartbeat, leasePoll = oldTTL, oldBeat, oldPoll
-		staleLeaseWarned.Store(oldWarn)
-	})
-}
-
-// TestConcurrentStoreWritersSingleBuild is the fleet guarantee under -race:
-// N independent Checkpointers (standing in for N processes — they share no
-// in-memory state, only the directory) racing on one warm key perform
-// exactly one warm simulation between them. Everyone else waits on the
-// builder's lease and loads its published entry.
-func TestConcurrentStoreWritersSingleBuild(t *testing.T) {
+// TestConcurrentStoreWriters runs N independent Checkpointers (standing in
+// for N processes: they share no in-memory state, only the directory) that
+// warm the same key at once, under -race. Several of them may build and
+// publish the entry; each publish is a rename of its own temp file, so
+// every caller measures from a whole checkpoint, and the directory ends
+// with one valid entry and no temp files.
+func TestConcurrentStoreWriters(t *testing.T) {
 	dir := t.TempDir()
 	w := pick(t, "vpr")[0]
 	cfg := cpu.Config4Wide()
-	const warm = 22_500
+	const warm, run = 22_500, 60_000
 	const n = 4
 
+	cold := measureVia(t, NewCheckpointer("", WarmDetailed), w.Name, cfg, true, warm, run)
+
 	cps := make([]*Checkpointer, n)
-	cks := make([]*cpu.Checkpoint, n)
-	srcs := make([]WarmSource, n)
+	snaps := make([]stats.Snapshot, n)
+	start := make(chan struct{})
 	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
+	for i := range cps {
 		cps[i] = NewCheckpointer(dir, WarmDetailed)
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			ck, src, err := cps[i].Warm(w, cfg, true, warm)
+			<-start
+			core, _, err := runOnce(cps[i], w, cfg, true, warm, run, OracleOptions{}, nil)
 			if err != nil {
 				t.Errorf("writer %d: %v", i, err)
 				return
 			}
-			cks[i], srcs[i] = ck, src
+			snaps[i] = core.Snapshot()
 		}(i)
 	}
+	close(start)
 	wg.Wait()
 	if t.Failed() {
 		t.FailNow()
 	}
 
-	var misses, stores, waits, hits, takeovers uint64
-	sims := 0
 	for i, cp := range cps {
+		if !reflect.DeepEqual(cold, snaps[i]) {
+			t.Errorf("writer %d measured a different snapshot than the cold run", i)
+		}
 		st := cp.Stats()
-		misses += st.WarmMisses
-		stores += st.DiskStores
-		waits += st.SingleflightWaits
-		hits += st.SingleflightHits
-		takeovers += st.LeaseTakeovers
-		if srcs[i] == WarmFromSim {
-			sims++
+		if st.DiskLoads+st.WarmMisses != 1 {
+			t.Errorf("writer %d: %d disk loads + %d warm builds, want 1 in total", i, st.DiskLoads, st.WarmMisses)
 		}
-	}
-	if misses != 1 || sims != 1 {
-		t.Errorf("fleet built %d warm regions (%d sim sources), want exactly 1", misses, sims)
-	}
-	if stores != 1 {
-		t.Errorf("fleet stored %d entries, want 1", stores)
-	}
-	if takeovers != 0 {
-		t.Errorf("lease takeovers = %d, want 0 (all holders were alive)", takeovers)
-	}
-	// Every waiter must have been resolved by the builder's publish, never
-	// by a duplicate local build. (A writer arriving after the publish hits
-	// disk without waiting at all; that's fine.)
-	if hits != waits {
-		t.Errorf("singleflight waits/hits = %d/%d, want equal", waits, hits)
-	}
-	// All four observed byte-identical machine state.
-	ref := cks[0].EncodeBinary()
-	for i := 1; i < n; i++ {
-		if !bytes.Equal(ref, cks[i].EncodeBinary()) {
-			t.Errorf("writer %d restored a different checkpoint than writer 0", i)
-		}
-	}
-}
-
-// lockPathFor computes the lease path the store uses for one warm key.
-func lockPathFor(cp *Checkpointer, w string, withSlices bool, warm uint64, cfg cpu.Config) (entry, lock string) {
-	key := WarmKeyFor(w, withSlices, warm, cp.Mode, cfg)
-	entry = ckptPath(cp.Dir, key)
-	return entry, entry + ".lock"
-}
-
-// TestStoreStaleLeaseTakeover: a lock file whose holder died (no heartbeat
-// past the TTL) is stolen, counted, warned about once, and the thief
-// rebuilds the entry.
-func TestStoreStaleLeaseTakeover(t *testing.T) {
-	storeLease(t, 150*time.Millisecond, 25*time.Millisecond, 5*time.Millisecond)
-	dir := t.TempDir()
-	w := pick(t, "vpr")[0]
-	cfg := cpu.Config4Wide()
-	const warm = 22_500
-
-	cp := NewCheckpointer(dir, WarmDetailed)
-	entry, lock := lockPathFor(cp, w.Name, false, warm, cfg)
-	// A dead holder: a lock file that has not heartbeat for a minute.
-	if err := os.WriteFile(lock, []byte("pid=0 start=dead\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	old := time.Now().Add(-time.Minute)
-	if err := os.Chtimes(lock, old, old); err != nil {
-		t.Fatal(err)
-	}
-
-	if _, src, err := cp.Warm(w, cfg, false, warm); err != nil {
-		t.Fatalf("Warm: %v", err)
-	} else if src != WarmFromSim {
-		t.Errorf("warm source = %s, want sim (thief rebuilds)", src)
-	}
-
-	st := cp.Stats()
-	if st.LeaseTakeovers != 1 {
-		t.Errorf("lease takeovers = %d, want 1", st.LeaseTakeovers)
-	}
-	if st.SingleflightWaits != 1 || st.SingleflightHits != 0 {
-		t.Errorf("waits/hits = %d/%d, want 1/0 (waited, then rebuilt)", st.SingleflightWaits, st.SingleflightHits)
-	}
-	if st.WarmMisses != 1 || st.DiskStores != 1 {
-		t.Errorf("misses/stores = %d/%d, want 1/1", st.WarmMisses, st.DiskStores)
-	}
-	if !staleLeaseWarned.Load() {
-		t.Error("stale-lease takeover did not set the one-time warning")
-	}
-	if _, err := os.Stat(lock); !os.IsNotExist(err) {
-		t.Errorf("stale lock still present after takeover: %v", err)
-	}
-	if _, err := os.Stat(entry); err != nil {
-		t.Errorf("entry not published after takeover: %v", err)
-	}
-
-	// The rebuilt entry serves a fresh reader with zero simulations.
-	second := NewCheckpointer(dir, WarmDetailed)
-	if _, src, err := second.Warm(w, cfg, false, warm); err != nil || src != WarmFromDisk {
-		t.Errorf("post-takeover reader: src=%s err=%v, want disk hit", src, err)
-	}
-}
-
-// TestStoreCorruptEntryStaleLeaseRecovery is the worst published state a
-// crashed peer can leave behind: a corrupt entry (fails the CRC re-check
-// every reader performs) plus a stale lease. The reader must reject the
-// entry, take over the lease, rebuild, and republish a valid entry.
-func TestStoreCorruptEntryStaleLeaseRecovery(t *testing.T) {
-	storeLease(t, 150*time.Millisecond, 25*time.Millisecond, 5*time.Millisecond)
-	dir := t.TempDir()
-	w := pick(t, "vpr")[0]
-	cfg := cpu.Config4Wide()
-	const warm = 22_500
-
-	cp := NewCheckpointer(dir, WarmDetailed)
-	entry, lock := lockPathFor(cp, w.Name, false, warm, cfg)
-	if err := os.WriteFile(entry, []byte("not a checkpoint"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(lock, []byte("pid=0\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	old := time.Now().Add(-time.Minute)
-	for _, p := range []string{entry, lock} {
-		if err := os.Chtimes(p, old, old); err != nil {
-			t.Fatal(err)
+		if st.DiskStores != st.WarmMisses {
+			t.Errorf("writer %d built %d warm regions but stored %d", i, st.WarmMisses, st.DiskStores)
 		}
 	}
 
-	if _, src, err := cp.Warm(w, cfg, false, warm); err != nil {
-		t.Fatalf("Warm: %v", err)
-	} else if src != WarmFromSim {
-		t.Errorf("warm source = %s, want sim", src)
+	entries, _ := filepath.Glob(filepath.Join(dir, "*.ckpt"))
+	if len(entries) != 1 {
+		t.Errorf("store holds %v, want exactly one entry", entries)
 	}
-	st := cp.Stats()
-	if st.WarmMisses != 1 || st.LeaseTakeovers != 1 {
-		t.Errorf("misses/takeovers = %d/%d, want 1/1", st.WarmMisses, st.LeaseTakeovers)
+	if tmps, _ := filepath.Glob(filepath.Join(dir, "*.tmp")); len(tmps) != 0 {
+		t.Errorf("temp files left behind: %v", tmps)
 	}
-	// The republished entry is valid: a fresh reader loads it.
-	second := NewCheckpointer(dir, WarmDetailed)
-	if _, src, err := second.Warm(w, cfg, false, warm); err != nil || src != WarmFromDisk {
-		t.Errorf("recovered entry unreadable: src=%s err=%v", src, err)
-	}
-	if second.Stats().WarmMisses != 0 {
-		t.Error("recovered entry forced a rebuild")
-	}
-}
-
-// TestStoreEvictionLRU: with MaxBytes set, stores evict least-recently-
-// USED entries — a disk load touches its entry, so eviction order tracks
-// use, not creation, and the just-written entry is exempt.
-func TestStoreEvictionLRU(t *testing.T) {
-	dir := t.TempDir()
-	w := pick(t, "vpr")[0]
-	cfg := cpu.Config4Wide()
-
-	// Three distinct keys with near-identical entry sizes: same workload
-	// and config, different warm lengths.
-	warms := []uint64{22_500, 23_000, 23_500}
-	builder := NewCheckpointer(dir, WarmDetailed)
-	if _, _, err := builder.Warm(w, cfg, false, warms[0]); err != nil {
+	fresh := NewCheckpointer(dir, WarmDetailed)
+	if _, _, err := fresh.Warm(w, cfg, true, warm); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := builder.Warm(w, cfg, false, warms[1]); err != nil {
-		t.Fatal(err)
-	}
-	paths := make([]string, 3)
-	var size [3]int64
-	for i, warm := range warms {
-		paths[i], _ = lockPathFor(builder, w.Name, false, warm, cfg)
-		if i < 2 {
-			info, err := os.Stat(paths[i])
-			if err != nil {
-				t.Fatal(err)
-			}
-			size[i] = info.Size()
-		}
-	}
-	// Age them: entry 0 is oldest, entry 1 newer.
-	now := time.Now()
-	os.Chtimes(paths[0], now.Add(-2*time.Hour), now.Add(-2*time.Hour))
-	os.Chtimes(paths[1], now.Add(-time.Hour), now.Add(-time.Hour))
-
-	// Budget ≈ 2.5 entries: storing the third forces exactly one eviction.
-	cp := NewCheckpointer(dir, WarmDetailed)
-	cp.MaxBytes = size[0] + size[1] + size[1]/2
-
-	// USE entry 0 (the oldest by mtime): the load touches it, so entry 1
-	// becomes the LRU victim even though it was written later.
-	if _, src, err := cp.Warm(w, cfg, false, warms[0]); err != nil || src != WarmFromDisk {
-		t.Fatalf("load of entry 0: src=%s err=%v", src, err)
-	}
-	if _, _, err := cp.Warm(w, cfg, false, warms[2]); err != nil {
-		t.Fatal(err)
-	}
-
-	st := cp.Stats()
-	if st.Evictions != 1 || st.EvictedBytes != uint64(size[1]) {
-		t.Errorf("evictions = %d (%d bytes), want 1 (%d bytes)", st.Evictions, st.EvictedBytes, size[1])
-	}
-	if _, err := os.Stat(paths[1]); !os.IsNotExist(err) {
-		t.Errorf("LRU victim (entry 1) still present: %v", err)
-	}
-	for _, i := range []int{0, 2} {
-		if _, err := os.Stat(paths[i]); err != nil {
-			t.Errorf("entry %d should have survived: %v", i, err)
-		}
-	}
-
-	// A bound too small for even one entry never evicts the entry its own
-	// writer just published.
-	tiny := NewCheckpointer(t.TempDir(), WarmDetailed)
-	tiny.MaxBytes = 1
-	if _, _, err := tiny.Warm(w, cfg, false, warms[0]); err != nil {
-		t.Fatal(err)
-	}
-	keep, _ := lockPathFor(tiny, w.Name, false, warms[0], cfg)
-	if _, err := os.Stat(keep); err != nil {
-		t.Errorf("writer's own entry evicted by its own store: %v", err)
-	}
-	if st := tiny.Stats(); st.Evictions != 0 {
-		t.Errorf("tiny-bound evictions = %d, want 0", st.Evictions)
-	}
-
-	// Leftover lock files never count toward the budget and are never
-	// eviction victims (only *.ckpt entries are).
-	if got, _ := filepath.Glob(filepath.Join(dir, "*.lock")); len(got) != 0 {
-		t.Errorf("lock files leaked: %v", got)
+	if st := fresh.Stats(); st.DiskLoads != 1 || st.WarmMisses != 0 {
+		t.Errorf("fresh reader: %d disk loads, %d warm builds; want 1 and 0", st.DiskLoads, st.WarmMisses)
 	}
 }
