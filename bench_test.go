@@ -31,7 +31,7 @@ var benchParams = harness.Params{Scale: 0.25}
 
 func BenchmarkTable2(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows := harness.Table2(workloads.All(), benchParams)
+		rows := harness.NewEngine(benchParams, 0).Table2(workloads.All())
 		if len(rows) != 12 {
 			b.Fatal("missing rows")
 		}
@@ -56,7 +56,7 @@ func BenchmarkFigure1(b *testing.B) {
 	// bench affordable while preserving the figure's shape.
 	ws := pick(b, "vpr", "mcf", "eon", "gzip")
 	for i := 0; i < b.N; i++ {
-		rows := harness.Figure1(ws, benchParams)
+		rows := harness.NewEngine(benchParams, 0).Figure1(ws)
 		if i == 0 {
 			var gain float64
 			for _, r := range rows {
@@ -78,7 +78,7 @@ func BenchmarkTable3(b *testing.B) {
 
 func BenchmarkFigure11(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows := harness.Figure11(workloads.All(), benchParams)
+		rows := harness.NewEngine(benchParams, 0).Figure11(workloads.All())
 		if i == 0 {
 			var maxSpeedup float64
 			for _, r := range rows {
@@ -94,7 +94,7 @@ func BenchmarkFigure11(b *testing.B) {
 func BenchmarkTable4(b *testing.B) {
 	ws := pick(b, "vpr", "eon", "gzip", "mcf", "twolf", "gap")
 	for i := 0; i < b.N; i++ {
-		cols := harness.Table4(ws, benchParams)
+		cols := harness.NewEngine(benchParams, 0).Table4(ws)
 		if i == 0 {
 			var frac float64
 			for _, c := range cols {
@@ -341,11 +341,12 @@ func pickOne(b *testing.B, name string) *workloads.Workload {
 }
 
 // BenchmarkFunctionalExec measures pure functional-model throughput on
-// both engines: the legacy decode-dispatch interpreter
-// (cpu.RunFunctionalInterp) and the compiled threaded-code engine behind
-// cpu.RunFunctional. SetBytes(region) makes the MB/s column simulated
-// megainstructions per wall second; the compiled/interp ratio is the
-// headline speedup committed in BENCH_PR6.json.
+// both engines: the decode-dispatch interpreter (cpu.RunFunctionalInterp)
+// and the predecoded Exec kernel behind cpu.RunFunctional, stepped one
+// instruction at a time by compiled.Machine.Run — the same kernel the
+// functional warm-up, the oracle and the detailed core run.
+// SetBytes(region) makes the MB/s column simulated megainstructions per
+// wall second.
 func BenchmarkFunctionalExec(b *testing.B) {
 	const region = 1_000_000
 	type engine struct {

@@ -32,19 +32,16 @@ func detCore(t testing.TB, w *workloads.Workload, slices bool) *cpu.Core {
 	return cpu.MustNew(cpu.Config4Wide(), w.Image, w.NewMemory(), w.Entry, nil)
 }
 
-// TestPoolDeterminism runs each region twice on independent cores —
-// concurrently, so `go test -race` also exercises parallel pooled engines
-// — and requires identical snapshots.
+// TestPoolDeterminism runs each workload's region, with and without
+// slices, twice on independent cores — concurrently, so `go test -race`
+// also exercises parallel pooled engines — and requires identical
+// snapshots.
 func TestPoolDeterminism(t *testing.T) {
-	for _, name := range []string{"vpr", "mcf"} {
+	for _, w := range workloads.All() {
 		for _, slices := range []bool{false, true} {
-			name, slices := name, slices
-			t.Run(fmt.Sprintf("%s/slices=%v", name, slices), func(t *testing.T) {
+			w, slices := w, slices
+			t.Run(fmt.Sprintf("%s/slices=%v", w.Name, slices), func(t *testing.T) {
 				t.Parallel()
-				w, err := workloads.ByName(name)
-				if err != nil {
-					t.Fatal(err)
-				}
 				run := func(ch chan<- stats.Snapshot) {
 					core := detCore(t, w, slices)
 					core.Run(detWarm)
@@ -64,20 +61,16 @@ func TestPoolDeterminism(t *testing.T) {
 	}
 }
 
-// TestPoolReuseAcrossRuns re-simulates the same region through different
-// Run() boundaries: the chunked core re-enters the cycle loop repeatedly
+// TestPoolReuseAcrossRuns re-simulates each workload's region, with and
+// without slices, through different Run() boundaries: the chunked core re-enters the cycle loop repeatedly
 // over a pool warmed by all earlier chunks, and must track the straight
 // run exactly.
 func TestPoolReuseAcrossRuns(t *testing.T) {
-	for _, name := range []string{"vpr", "mcf"} {
+	for _, w := range workloads.All() {
 		for _, slices := range []bool{false, true} {
-			name, slices := name, slices
-			t.Run(fmt.Sprintf("%s/slices=%v", name, slices), func(t *testing.T) {
+			w, slices := w, slices
+			t.Run(fmt.Sprintf("%s/slices=%v", w.Name, slices), func(t *testing.T) {
 				t.Parallel()
-				w, err := workloads.ByName(name)
-				if err != nil {
-					t.Fatal(err)
-				}
 
 				straight := detCore(t, w, slices)
 				straight.Run(detWarm)

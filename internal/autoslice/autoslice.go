@@ -37,6 +37,7 @@ import (
 
 	"repro/internal/asm"
 	"repro/internal/isa"
+	"repro/internal/isa/compiled"
 	"repro/internal/mem"
 	"repro/internal/slicehw"
 )
@@ -59,68 +60,42 @@ type Trace struct {
 }
 
 // CollectTrace functionally executes the image for n instructions from
-// entry, recording the register dataflow. The memory is mutated (pass a
-// fresh one).
+// entry on the compiled engine, recording the register dataflow. The
+// memory is mutated (pass a fresh one).
 func CollectTrace(image *asm.Image, m *mem.Memory, entry uint64, n int) (*Trace, error) {
 	tr := &Trace{byPC: make(map[uint64][]int32)}
-	var regs [isa.NumRegs]uint64
 	lastWrite := [isa.NumRegs]int32{}
 	for i := range lastWrite {
 		lastWrite[i] = -1
 	}
-	st := traceState{regs: &regs, m: m}
-	pc := entry
-	for len(tr.entries) < n {
-		in, ok := image.At(pc)
-		if !ok {
+	prog := compiled.Cached(image)
+	ma := compiled.NewMachine(prog, m, entry)
+	var cur compiled.Cursor
+	var out isa.Outcome
+	for len(tr.entries) < n && !ma.Halted() {
+		pc := ma.PC()
+		o := prog.At(pc, &cur)
+		if o == nil {
 			return nil, fmt.Errorf("autoslice: trace fell off the image at %#x", pc)
 		}
-		e := traceEntry{pc: pc, in: in}
-		for _, r := range in.Sources() {
+		e := traceEntry{pc: pc, in: o.Inst()}
+		for _, r := range o.Sources() {
 			e.src[e.nsrc] = lastWrite[r]
 			e.nsrc++
 		}
 		idx := int32(len(tr.entries))
-		out := isa.Execute(in, pc, st)
-		if d, ok := in.Dest(); ok {
+		ma.Step(&out) // cannot fail: At found pc in the image
+		if d, ok := o.Dest(); ok {
 			lastWrite[d] = idx
 		}
 		tr.entries = append(tr.entries, e)
 		tr.byPC[pc] = append(tr.byPC[pc], idx)
-		if out.Halt {
-			break
-		}
-		pc = out.NextPC(pc)
 	}
 	return tr, nil
 }
 
-type traceState struct {
-	regs *[isa.NumRegs]uint64
-	m    *mem.Memory
-}
-
-func (s traceState) Reg(r isa.Reg) uint64 {
-	if r == isa.Zero {
-		return 0
-	}
-	return s.regs[r]
-}
-
-func (s traceState) SetReg(r isa.Reg, v uint64) {
-	if r != isa.Zero {
-		s.regs[r] = v
-	}
-}
-
-func (s traceState) Load(addr uint64, size int) (uint64, bool)  { return s.m.Read(addr, size) }
-func (s traceState) Store(addr uint64, size int, v uint64) bool { return s.m.Write(addr, size, v) }
-
 // Len returns the trace length.
 func (t *Trace) Len() int { return len(t.entries) }
-
-// Instances returns the dynamic instance count of pc.
-func (t *Trace) Instances(pc uint64) int { return len(t.byPC[pc]) }
 
 // --- Problem-PC clustering ---
 

@@ -106,9 +106,8 @@ func New(cfg Config, image *asm.Image, memory *mem.Memory, entry uint64, sliceTa
 // MaxPrograms). Main threads occupy the first len(specs) thread contexts
 // in spec order; the remaining contexts are helper slots shared by every
 // program's slices. Each program gets its own memory view, slice
-// hardware, and stats; the fetch policy arbitrates among the mains with
-// per-program ICOUNT weights (Config.ProgFetchWeights, defaulting to
-// MainFetchWeight).
+// hardware, and stats; the fetch policy arbitrates among the mains, each
+// weighted by MainFetchWeight.
 func NewMulti(cfg Config, specs []ProgSpec) (*Core, error) {
 	if len(specs) < 1 {
 		return nil, fmt.Errorf("cpu: need at least one program")
@@ -158,7 +157,6 @@ func NewMulti(cfg Config, specs []ProgSpec) (*Core, error) {
 			index:    i,
 			image:    sp.Image,
 			code:     compiled.Cached(sp.Image),
-			weight:   cfg.progWeight(i),
 			physBase: uint64(i) * (progPhysStride + progPhysSkew),
 			predSalt: uint64(i) * progSaltStride,
 			S:        stats.New(),

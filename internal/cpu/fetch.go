@@ -160,8 +160,8 @@ func (c *Core) fetchQCap(t *Thread) int {
 // among every program's main thread and the helpers. A thread that cannot
 // actually fetch this cycle (e.g. a helper stalled at a PGI whose
 // prediction queue is full) must not win the slot — it would starve the
-// main threads, whose kills are what drain that queue. Each main thread
-// carries its program's fairness weight; on a score tie a main thread
+// main threads, whose kills are what drain that queue. Every main thread
+// is weighted by MainFetchWeight; on a score tie a main thread
 // beats a helper, and among equal-scored mains the lowest thread index
 // (scan order) wins, keeping multi-program arbitration deterministic.
 func (c *Core) chooseFetchThread() *Thread {
@@ -176,7 +176,7 @@ func (c *Core) chooseFetchThread() *Thread {
 		}
 		w := 1.0
 		if t.IsMain {
-			w = t.prog.weight
+			w = c.Cfg.MainFetchWeight
 		}
 		score := float64(t.inflight()) / w
 		if best == nil || score < bestScore || (score == bestScore && t.IsMain && !best.IsMain) {

@@ -40,11 +40,10 @@ func (f funcCtx) Load(addr uint64, size int) (uint64, bool)  { return f.m.Read(a
 func (f funcCtx) Store(addr uint64, size int, v uint64) bool { return f.m.Write(addr, size, v) }
 
 // RunFunctional executes the image architecturally — no pipeline, no
-// caches, no speculation. It is the reference model the out-of-order core
-// must match instruction-for-instruction, and the engine behind the
-// problem-instruction profiler's oracle counts. It runs on the compiled
-// engine (isa/compiled); RunFunctionalInterp is the decode-dispatch
-// interpreter it is differentially tested against.
+// caches, no speculation: the reference model the out-of-order core must
+// match instruction-for-instruction. It runs compiled.Machine.Run, the
+// Exec kernel one instruction at a time; RunFunctionalInterp is the
+// decode-dispatch interpreter it is differentially tested against.
 func RunFunctional(image *asm.Image, m *mem.Memory, entry uint64, maxInsts uint64) (FuncState, error) {
 	var st FuncState
 	ma := compiled.NewMachine(compiled.Cached(image), m, entry)

@@ -177,18 +177,13 @@ func (cp *Checkpointer) loadOrBuild(w *workloads.Workload, cfg cpu.Config, withS
 	return ck, WarmFromSim, err
 }
 
-// WarmedCore returns a fresh core restored to the end of the warm prefix,
-// ready to measure under cfg. Every call restores its own core; one
-// checkpoint serves any number of concurrent WarmedCore calls.
-func (cp *Checkpointer) WarmedCore(w *workloads.Workload, cfg cpu.Config, withSlices bool, warm uint64) (*cpu.Core, WarmSource, error) {
-	core, _, src, err := cp.WarmedCoreCkpt(w, cfg, withSlices, warm)
-	return core, src, err
-}
-
-// WarmedCoreCkpt is WarmedCore returning the warm checkpoint alongside the
-// restored core. The checkpoint is the shared cache entry — read-only — and
-// captures the core's exact architectural state at the start of the
-// measured region, which is what the differential oracle seeds from.
+// WarmedCoreCkpt returns a fresh core restored to the end of the warm
+// prefix, ready to measure under cfg, and the warm checkpoint it was
+// restored from. Every call restores its own core; one checkpoint serves
+// any number of concurrent calls. The checkpoint is the shared cache
+// entry — read-only — and captures the core's exact architectural state
+// at the start of the measured region, which is what the differential
+// oracle seeds from.
 func (cp *Checkpointer) WarmedCoreCkpt(w *workloads.Workload, cfg cpu.Config, withSlices bool, warm uint64) (*cpu.Core, *cpu.Checkpoint, WarmSource, error) {
 	var table *slicehw.Table
 	if withSlices {

@@ -218,14 +218,9 @@ func (e *Engine) RunMP(group []*workloads.Workload, withSlices bool) (*RunResult
 }
 
 // FigureMP runs the multi-programmed contention experiment for the
-// engine's deterministic co-schedules of ws. Solo baselines come from the
-// memoized single-program runs the other figures share; the co-scheduled
-// legs (no checkpoint sharing) fan out over the engine's worker pool.
-func FigureMP(ws []*workloads.Workload, p Params) []FigureMPRow {
-	return NewEngine(p, 0).FigureMP(ws)
-}
-
-// FigureMP implements the driver on the engine.
+// deterministic co-schedules of ws. Solo baselines come from the memoized
+// single-program runs the other figures share; the co-scheduled legs (no
+// checkpoint sharing) fan out over the engine's worker pool.
 func (e *Engine) FigureMP(ws []*workloads.Workload) []FigureMPRow {
 	groups := CoSchedules(ws)
 	if len(groups) == 0 {

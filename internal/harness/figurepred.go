@@ -45,11 +45,6 @@ type FigurePredRow struct {
 	Perfect  FigurePredLeg `json:"perfect"`
 }
 
-// FigurePred runs the predictor-stack comparison for the given workloads.
-func FigurePred(ws []*workloads.Workload, p Params) []FigurePredRow {
-	return NewEngine(p, 0).FigurePred(ws)
-}
-
 // probLeg folds one run's per-PC statistics over the problem-branch set.
 func probLeg(s *stats.Sim, pcs map[uint64]bool) (leg FigurePredLeg, execs uint64) {
 	for pc := range pcs {
@@ -65,7 +60,7 @@ func probLeg(s *stats.Sim, pcs map[uint64]bool) (leg FigurePredLeg, execs uint64
 	return leg, execs
 }
 
-// FigurePred runs the comparison through the engine in two parallel
+// FigurePred runs the predictor-stack comparison in two parallel
 // phases: the 4-wide baselines first (shared with Table 2 and Figure 1 —
 // they double as the profiling runs that pick the problem branches), then
 // the four alternative legs per workload in one batch.

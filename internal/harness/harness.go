@@ -146,11 +146,6 @@ type Table2Row struct {
 	BrMis   float64 // % of mispredictions covered
 }
 
-// Table2 reproduces the paper's Table 2 for the given workloads.
-func Table2(ws []*workloads.Workload, p Params) []Table2Row {
-	return NewEngine(p, 0).Table2(ws)
-}
-
 // Table2 reproduces the paper's Table 2 through the engine: the profiling
 // baselines run in parallel, then the per-PC statistics are classified.
 func (e *Engine) Table2(ws []*workloads.Workload) []Table2Row {
@@ -185,12 +180,6 @@ func (e *Engine) Table2(ws []*workloads.Workload) []Table2Row {
 type Figure1Row struct {
 	Program                 string
 	Base, ProbPerf, AllPerf [2]float64 // index 0: 4-wide, 1: 8-wide
-}
-
-// Figure1 reproduces Figure 1: baseline, problem-instructions-perfect, and
-// all-perfect IPC on the 4- and 8-wide machines.
-func Figure1(ws []*workloads.Workload, p Params) []Figure1Row {
-	return NewEngine(p, 0).Figure1(ws)
 }
 
 // widthConfigs are Figure 1's two machines, index-aligned with the [2]
@@ -307,12 +296,6 @@ func coveredPerfect(w *workloads.Workload) cpu.Perfect {
 	return p
 }
 
-// Figure11 reproduces Figure 11: speedup of slice-assisted execution and
-// of "magically" perfecting the same problem instructions.
-func Figure11(ws []*workloads.Workload, p Params) []Figure11Row {
-	return NewEngine(p, 0).Figure11(ws)
-}
-
 // speedupPct is the percent cycle-count speedup of `with` over `base`,
 // guarding the degenerate zero-cycle run (nothing retired) that would
 // otherwise produce ±Inf/NaN.
@@ -323,9 +306,10 @@ func speedupPct(base, with uint64) float64 {
 	return (float64(base)/float64(with) - 1) * 100
 }
 
-// Figure11 reproduces Figure 11 through the engine: base, slice-assisted,
-// and constrained-limit runs for every workload, all independent, all in
-// one parallel batch.
+// Figure11 reproduces Figure 11: the speedup of slice-assisted execution
+// and of "magically" perfecting the same problem instructions. Base,
+// slice-assisted, and constrained-limit runs for every workload are all
+// independent and go in one parallel batch.
 func (e *Engine) Figure11(ws []*workloads.Workload) []Figure11Row {
 	specs := make([]RunSpec, 0, 3*len(ws))
 	for _, w := range ws {
@@ -393,11 +377,6 @@ type Table4Col struct {
 	// FracFromLoads estimates the share of the speedup due to
 	// prefetching, measured by re-running with PGI allocation disabled.
 	FracFromLoads float64
-}
-
-// Table4 reproduces the paper's Table 4 on the 4-wide machine.
-func Table4(ws []*workloads.Workload, p Params) []Table4Col {
-	return NewEngine(p, 0).Table4(ws)
 }
 
 // Table4 reproduces Table 4 through the engine: base, slice, and

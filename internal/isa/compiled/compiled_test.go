@@ -303,28 +303,27 @@ func TestStepGolden(t *testing.T) {
 	}
 }
 
-// TestStepLockstepFusedProgram single-steps a program built entirely from
-// fusable pairs and holds every Outcome equal to isa.Execute's. Step must
-// execute exactly one architectural instruction even when the slot it
-// lands on is a fused superop — including a branch entering the *second*
-// element of a fused pair.
+// TestStepLockstepFusedProgram single-steps a program built from
+// back-to-back dependent pairs (ldi+addi, cmp+branch, s4add+load,
+// cmpi+branch) and holds every Outcome and the register file equal to
+// isa.Execute's, including a branch entering the second instruction of a
+// pair.
 func TestStepLockstepFusedProgram(t *testing.T) {
 	p := &asm.Program{Base: base, Insts: []isa.Inst{
-		{Op: isa.LDI, Rd: 1, Imm: 3},                  // +0  fuses with next
+		{Op: isa.LDI, Rd: 1, Imm: 3},                  // +0
 		{Op: isa.ADDI, Rd: 2, Ra: 1, Imm: 4},          // +4  r2 = 7
-		{Op: isa.CMPEQ, Rd: 3, Ra: 1, Rb: 2},          // +8  fuses with next: r3 = 0
+		{Op: isa.CMPEQ, Rd: 3, Ra: 1, Rb: 2},          // +8  r3 = 0
 		{Op: isa.BNE, Ra: 3, Imm: 5},                  // +12 taken -> +36 (HALT); not taken first pass
-		{Op: isa.S4ADD, Rd: 4, Ra: 1, Rb: isa.Zero},   // +16 fuses with next: r4 = 12
+		{Op: isa.S4ADD, Rd: 4, Ra: 1, Rb: isa.Zero},   // +16 r4 = 12
 		{Op: isa.LD, Rd: 5, Ra: 4, Imm: 0x40000 - 12}, // +20 loads arena[0] = 77
-		{Op: isa.CMPEQI, Rd: 6, Ra: 5, Imm: 77},       // +24 fuses with next: r6 = 1
+		{Op: isa.CMPEQI, Rd: 6, Ra: 5, Imm: 77},       // +24 r6 = 1
 		{Op: isa.BEQ, Ra: 6, Imm: -7},                 // +28 not taken (load hit 77)
-		{Op: isa.BR, Imm: -6},                         // +32 -> +12: jumps INTO the fused pair at +8
+		{Op: isa.BR, Imm: -6},                         // +32 -> +12: jumps into the cmp+bne pair at +8
 		{Op: isa.HALT},                                // +36
 	}}
-	// The BR at +32 targets +12 — the BNE that is the *second* constituent
-	// of the fused pair at +8. Its slot keeps its own plain decode, so the
-	// re-entry must execute exactly the branch. On the second visit r3 is
-	// poked to 1 below, making the re-entered branch taken (-> HALT).
+	// The BR at +32 targets +12, the BNE that consumes the compare at +8.
+	// The re-entry must execute exactly the branch. On the second visit r3
+	// is poked to 1 below, making the re-entered branch taken (-> HALT).
 	im := image(t, p)
 
 	refMem, maMem := mem.New(), mem.New()
@@ -342,8 +341,8 @@ func TestStepLockstepFusedProgram(t *testing.T) {
 		}
 		if pc == base+12 && steps > 3 {
 			// Second visit to the BNE (entered mid-pair via the BR): make it
-			// taken this time by poking r3 on both sides, so the
-			// branch-into-fused-slot entry exercises the taken path too.
+			// taken this time by poking r3 on both sides, so the mid-pair
+			// entry exercises the taken path too.
 			ref.regs[3] = 1
 			ma.SetReg(3, 1)
 		}
@@ -378,29 +377,29 @@ func TestStepLockstepFusedProgram(t *testing.T) {
 	t.Fatal("program did not halt within the step budget")
 }
 
-// fusedProg returns a program whose hot loop exercises all four fusion
-// kinds, with an arena walk (s4add+ld and s8add+ld), cmp+branch loop
-// control, and ldi+addi constant setup — plus an addi whose destination
-// overwrites the ldi's.
+// fusedProg returns a program whose hot loop is built from dependent
+// pairs: an arena walk (s4add+ldw and s8add+ld), cmp+branch loop control,
+// and ldi+addi constant setup — plus an addi whose destination overwrites
+// the ldi's.
 func fusedProg() (*asm.Program, func(m *mem.Memory)) {
 	const arena = uint64(0x40000)
 	p := &asm.Program{Base: base, Insts: []isa.Inst{
-		{Op: isa.LDI, Rd: 1, Imm: 0},            // +0   i = 0 (fuses with next)
+		{Op: isa.LDI, Rd: 1, Imm: 0},            // +0   i = 0
 		{Op: isa.ADDI, Rd: 2, Ra: 1, Imm: 16},   // +4   n = 16
 		{Op: isa.LDI, Rd: 3, Imm: 100},          // +8   ldi+addi, rd aliased
 		{Op: isa.ADDI, Rd: 3, Ra: 3, Imm: -58},  // +12  r3 = 42
 		{Op: isa.LDI, Rd: 7, Imm: int32(arena)}, // +16  arena base
 		// loop:
-		{Op: isa.S4ADD, Rd: 4, Ra: 1, Rb: 7},   // +20  fused s4add+ldw
+		{Op: isa.S4ADD, Rd: 4, Ra: 1, Rb: 7},   // +20  s4add+ldw
 		{Op: isa.LDW, Rd: 5, Ra: 4, Imm: 0},    // +24
 		{Op: isa.ADD, Rd: 6, Ra: 6, Rb: 5},     // +28  sum += arena32[i]
-		{Op: isa.S8ADD, Rd: 4, Ra: 1, Rb: 7},   // +32  fused s8add+ld
+		{Op: isa.S8ADD, Rd: 4, Ra: 1, Rb: 7},   // +32  s8add+ld
 		{Op: isa.LD, Rd: 5, Ra: 4, Imm: 256},   // +36
 		{Op: isa.ADD, Rd: 6, Ra: 6, Rb: 5},     // +40  sum += arena64[i]
 		{Op: isa.ADDI, Rd: 1, Ra: 1, Imm: 1},   // +44  i++
-		{Op: isa.CMPLT, Rd: 8, Ra: 1, Rb: 2},   // +48  fused cmp+bne
+		{Op: isa.CMPLT, Rd: 8, Ra: 1, Rb: 2},   // +48  cmp+bne
 		{Op: isa.BNE, Ra: 8, Imm: -9},          // +52  -> +20 while i < n
-		{Op: isa.CMPEQI, Rd: 8, Ra: 6, Imm: 0}, // +56  fused cmpi+beq
+		{Op: isa.CMPEQI, Rd: 8, Ra: 6, Imm: 0}, // +56  cmpi+beq
 		{Op: isa.BEQ, Ra: 8, Imm: 1},           // +60  sum != 0: skip the poison
 		{Op: isa.LDI, Rd: 6, Imm: -1},          // +64  (not reached)
 		{Op: isa.ST, Rd: 6, Ra: 7, Imm: -8},    // +68  spill sum
@@ -415,8 +414,8 @@ func fusedProg() (*asm.Program, func(m *mem.Memory)) {
 	return p, init
 }
 
-// TestRunFusedAgainstInterp runs the all-fusions program flat out on the
-// compiled engine and diffs the final architectural state (registers, PC,
+// TestRunFusedAgainstInterp runs fusedProg to completion with
+// Machine.Run and diffs the final architectural state (registers, PC,
 // retired count, halt flag, memory) against the isa.Execute reference loop.
 func TestRunFusedAgainstInterp(t *testing.T) {
 	p, init := fusedProg()
@@ -455,7 +454,7 @@ func TestRunFusedAgainstInterp(t *testing.T) {
 		t.Error("memories diverge")
 	}
 	// Sanity that the program actually summed something (guards against a
-	// vacuous pass where fusion skipped the loop body entirely).
+	// vacuous pass that skipped the loop body entirely).
 	if gotRegs[6] == 0 {
 		t.Error("loop body never ran: sum is zero")
 	}
@@ -469,13 +468,13 @@ func TestRunFusedAgainstInterp(t *testing.T) {
 	}
 }
 
-// TestRunFusedLoadFault holds the fused s4add+load pair to the same
-// fault semantics as the unfused sequence: the load reads zero and
-// execution continues.
+// TestRunFusedLoadFault holds Run to the main-thread fault semantics on
+// an s4add+load pair: the faulting load reads zero and execution
+// continues.
 func TestRunFusedLoadFault(t *testing.T) {
 	p := &asm.Program{Base: base, Insts: []isa.Inst{
 		{Op: isa.LDI, Rd: 5, Imm: 0x1234},           // poison rd to prove the overwrite
-		{Op: isa.S4ADD, Rd: 4, Ra: isa.Zero, Rb: 2}, // fused with next
+		{Op: isa.S4ADD, Rd: 4, Ra: isa.Zero, Rb: 2}, // address for the next load
 		{Op: isa.LD, Rd: 5, Ra: 4, Imm: 0},          // faults: r2 is unmapped
 		{Op: isa.ADDI, Rd: 6, Ra: 5, Imm: 1},        // runs after the fault
 		{Op: isa.HALT},
@@ -491,16 +490,16 @@ func TestRunFusedLoadFault(t *testing.T) {
 		t.Errorf("retired %d, want 5", retired)
 	}
 	if got := ma.Reg(5); got != 0 {
-		t.Errorf("faulting fused load left r5 = %#x, want 0", got)
+		t.Errorf("faulting load left r5 = %#x, want 0", got)
 	}
 	if got := ma.Reg(6); got != 1 {
 		t.Errorf("post-fault execution got r6 = %#x, want 1", got)
 	}
 }
 
-// TestRunMaxInstsBoundary holds Run to exact retired counts when the
-// budget splits a fused pair: only the first constituent executes, the PC
-// lands between the two, and resuming completes the pair.
+// TestRunMaxInstsBoundary holds Run to exact retired counts, PCs and
+// register files against the interpreter at budgets that split the
+// program's dependent pairs, and holds the resumed run to the rest.
 func TestRunMaxInstsBoundary(t *testing.T) {
 	p, init := fusedProg()
 	im := image(t, p)
@@ -622,7 +621,7 @@ func TestRunHalted(t *testing.T) {
 func TestZeroRegisterInvariant(t *testing.T) {
 	p := &asm.Program{Base: base, Insts: []isa.Inst{
 		{Op: isa.LDI, Rd: isa.Zero, Imm: 123},
-		{Op: isa.ADDI, Rd: isa.Zero, Ra: isa.Zero, Imm: 55}, // fuses ldi+addi into Zero
+		{Op: isa.ADDI, Rd: isa.Zero, Ra: isa.Zero, Imm: 55}, // ldi+addi into Zero
 		{Op: isa.LD, Rd: isa.Zero, Ra: isa.Zero, Imm: 0x10}, // faulting load into Zero
 		{Op: isa.CALL, Rd: isa.Zero, Imm: 0},                // link write into Zero
 		{Op: isa.ADDI, Rd: 1, Ra: isa.Zero, Imm: 9},         // r1 = 0 + 9
@@ -646,8 +645,8 @@ func TestZeroRegisterInvariant(t *testing.T) {
 
 // TestOpDecodeMatchesInst holds the decode an Op carries for the detailed
 // core's fetch equal to isa.Inst's own methods, for every opcode under
-// register patterns that include Zero, with fused and unfused slots
-// alike, and Addr must give a memory instruction's effective address.
+// register patterns that include Zero and in dependent pairs, and Addr
+// must give a memory instruction's effective address.
 // Program.At must find the same slots as asm.Image.At, through one
 // Cursor across two regions, and miss where the image misses.
 func TestOpDecodeMatchesInst(t *testing.T) {
@@ -657,7 +656,7 @@ func TestOpDecodeMatchesInst(t *testing.T) {
 			insts = append(insts, isa.Inst{Op: op, Rd: r[0], Ra: r[1], Rb: r[2], Imm: -3})
 		}
 	}
-	// Compare+branch and scaled-add+load pairs, so fused slots are covered.
+	// Compare+branch, scaled-add+load and ldi+addi dependent pairs.
 	insts = append(insts,
 		isa.Inst{Op: isa.CMPLT, Rd: 7, Ra: 1, Rb: 2}, isa.Inst{Op: isa.BNE, Ra: 7, Imm: -2},
 		isa.Inst{Op: isa.S8ADD, Rd: 8, Ra: 1, Rb: 2}, isa.Inst{Op: isa.LDW, Rd: 9, Ra: 8, Imm: 4},

@@ -17,8 +17,8 @@ import (
 //   - lockstep: Machine.Step (the Exec kernel over a Pager) against
 //     isa.Execute on a plain Memory, Outcome-for-Outcome, with the
 //     register files compared at every divergence candidate;
-//   - chunked: Machine.Run in uneven maxInsts chunks (slicing fused pairs
-//     at arbitrary points) against the interpreter's final state.
+//   - chunked: Machine.Run in uneven maxInsts chunks against the
+//     interpreter's final state.
 //
 // Every memory starts from one shared snapshot of the initial image, so
 // the first store to each initial page is a copy-on-write, and further

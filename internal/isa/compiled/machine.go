@@ -9,18 +9,11 @@ import (
 // register file (with the extra dump slot for Zero writes), a page-pointer
 // cache over the memory, and the current PC.
 //
-// Two execution interfaces:
-//
-//   - Run executes up to maxInsts instructions flat out: fused superops,
-//     no Outcome materialization, memory through the Pager fast path. It
-//     matches cpu.RunFunctional's architectural semantics exactly (main
-//     thread: faulting loads read zero, faulting stores are dropped,
-//     execution continues).
-//   - Step executes exactly one architectural instruction through the
-//     Exec kernel and fills a complete isa.Outcome, bit-identical to
-//     isa.Execute against the same state. The oracle's lockstep diff and
-//     the warm loop's per-instruction cache touching run on Step; the
-//     detailed core runs the same kernel at fetch.
+// Step executes exactly one architectural instruction through the Exec
+// kernel and fills a complete isa.Outcome, bit-identical to isa.Execute
+// against the same state; Run is a loop over Step. Both follow
+// cpu.RunFunctional's main-thread semantics: faulting loads read zero,
+// faulting stores are dropped, and execution continues.
 //
 // A Machine is single-threaded; create one per concurrent run.
 type Machine struct {
@@ -129,402 +122,16 @@ func cmpRI(op isa.Op, a uint64, imm int64) uint64 {
 // Run executes up to maxInsts architectural instructions starting at the
 // current PC and returns how many retired. It stops early on HALT (the
 // machine stays halted, PC at the HALT) and returns an *OffImageError if
-// control leaves the compiled image. A fused pair that would overshoot
-// maxInsts executes only its first constituent, so retired counts are
-// exact.
+// control leaves the compiled image.
 func (ma *Machine) Run(maxInsts uint64) (uint64, error) {
-	if ma.halted {
-		return 0, nil
-	}
-	regs := &ma.Regs
-	pg := &ma.pg
-	pc := ma.pc
-	r := ma.cur.r
-	var retired uint64
-
-outer:
-	for retired < maxInsts {
-		if r == nil || pc < r.base || pc >= r.end || (pc-r.base)%isa.InstBytes != 0 {
-			r = ma.prog.regionFor(pc)
-			if r == nil {
-				ma.cur.r = nil
-				ma.pc = pc
-				return retired, &OffImageError{PC: pc}
-			}
+	var out isa.Outcome
+	var n uint64
+	for ; n < maxInsts && !ma.halted; n++ {
+		if _, err := ma.Step(&out); err != nil {
+			return n, err
 		}
-		ops := r.ops
-		n := int32(len(ops))
-		i := int32((pc - r.base) / isa.InstBytes)
-
-	inner:
-		for retired < maxInsts {
-			o := &ops[i]
-			switch o.kind {
-			case isa.NOP, isa.FORK:
-				// FORK is architecturally a no-op; fork side effects belong
-				// to the timing model.
-
-			case isa.ADD:
-				regs[o.wr] = regs[o.ra] + regs[o.rb]
-			case isa.SUB:
-				regs[o.wr] = regs[o.ra] - regs[o.rb]
-			case isa.MUL:
-				regs[o.wr] = regs[o.ra] * regs[o.rb]
-			case isa.DIV:
-				if b := regs[o.rb]; b == 0 {
-					regs[o.wr] = 0
-				} else {
-					regs[o.wr] = uint64(int64(regs[o.ra]) / int64(b))
-				}
-			case isa.AND:
-				regs[o.wr] = regs[o.ra] & regs[o.rb]
-			case isa.OR:
-				regs[o.wr] = regs[o.ra] | regs[o.rb]
-			case isa.XOR:
-				regs[o.wr] = regs[o.ra] ^ regs[o.rb]
-			case isa.SLL:
-				regs[o.wr] = regs[o.ra] << (regs[o.rb] & 63)
-			case isa.SRL:
-				regs[o.wr] = regs[o.ra] >> (regs[o.rb] & 63)
-			case isa.SRA:
-				regs[o.wr] = uint64(int64(regs[o.ra]) >> (regs[o.rb] & 63))
-			case isa.CMPEQ, isa.CMPLT, isa.CMPLE, isa.CMPULT, isa.CMPULE:
-				regs[o.wr] = cmpRR(o.kind, regs[o.ra], regs[o.rb])
-			case isa.S4ADD:
-				regs[o.wr] = regs[o.ra]*4 + regs[o.rb]
-			case isa.S8ADD:
-				regs[o.wr] = regs[o.ra]*8 + regs[o.rb]
-
-			case isa.ADDI:
-				regs[o.wr] = regs[o.ra] + uint64(o.imm)
-			case isa.ANDI:
-				regs[o.wr] = regs[o.ra] & uint64(o.imm)
-			case isa.ORI:
-				regs[o.wr] = regs[o.ra] | uint64(o.imm)
-			case isa.XORI:
-				regs[o.wr] = regs[o.ra] ^ uint64(o.imm)
-			case isa.SLLI:
-				regs[o.wr] = regs[o.ra] << uint64(o.imm) // imm pre-masked
-			case isa.SRLI:
-				regs[o.wr] = regs[o.ra] >> uint64(o.imm)
-			case isa.SRAI:
-				regs[o.wr] = uint64(int64(regs[o.ra]) >> uint64(o.imm))
-			case isa.CMPEQI, isa.CMPLTI, isa.CMPLEI, isa.CMPULTI:
-				regs[o.wr] = cmpRI(o.kind, regs[o.ra], o.imm)
-			case isa.LDI:
-				regs[o.wr] = uint64(o.imm)
-			case isa.LDIH:
-				regs[o.wr] = regs[o.ra] + uint64(o.imm) // imm pre-shifted
-
-			case isa.CMOVEQ:
-				if regs[o.ra] == 0 {
-					regs[o.wr] = regs[o.rb]
-				}
-			case isa.CMOVNE:
-				if regs[o.ra] != 0 {
-					regs[o.wr] = regs[o.rb]
-				}
-			case isa.CMOVLT:
-				if int64(regs[o.ra]) < 0 {
-					regs[o.wr] = regs[o.rb]
-				}
-			case isa.CMOVGE:
-				if int64(regs[o.ra]) >= 0 {
-					regs[o.wr] = regs[o.rb]
-				}
-			case isa.CMOVGT:
-				if int64(regs[o.ra]) > 0 {
-					regs[o.wr] = regs[o.rb]
-				}
-			case isa.CMOVLE:
-				if int64(regs[o.ra]) <= 0 {
-					regs[o.wr] = regs[o.rb]
-				}
-
-			case isa.LD:
-				// Faulting loads read zero and keep going: main-thread
-				// functional semantics (helper-thread kill-on-fault lives in
-				// the CPU model, not here). The Try probe inlines the
-				// page-cache hit; the full accessor only runs on a miss.
-				addr := regs[o.ra] + uint64(o.imm)
-				v, hit := pg.TryLoad64(addr)
-				if !hit {
-					v, _ = pg.Load64(addr)
-				}
-				regs[o.wr] = v
-			case isa.LDW:
-				addr := regs[o.ra] + uint64(o.imm)
-				v, hit := pg.TryLoad32(addr)
-				if !hit {
-					v, _ = pg.Load32(addr)
-				}
-				regs[o.wr] = uint64(int64(int32(uint32(v))))
-			case isa.LDBU:
-				addr := regs[o.ra] + uint64(o.imm)
-				v, hit := pg.TryLoad8(addr)
-				if !hit {
-					v, _ = pg.Load8(addr)
-				}
-				regs[o.wr] = v
-			case isa.ST:
-				addr := regs[o.ra] + uint64(o.imm)
-				if !pg.TryStore64(addr, regs[o.rd]) {
-					pg.Store64(addr, regs[o.rd])
-				}
-			case isa.STW:
-				addr := regs[o.ra] + uint64(o.imm)
-				if !pg.TryStore32(addr, uint32(regs[o.rd])) {
-					pg.Store32(addr, uint32(regs[o.rd]))
-				}
-			case isa.STB:
-				addr := regs[o.ra] + uint64(o.imm)
-				if !pg.TryStore8(addr, byte(regs[o.rd])) {
-					pg.Store8(addr, byte(regs[o.rd]))
-				}
-
-			case isa.BEQ:
-				retired++
-				if regs[o.ra] == 0 {
-					if o.tgt >= 0 {
-						i = o.tgt
-						continue inner
-					}
-					pc = o.tpc
-					continue outer
-				}
-				i++
-				if i == n {
-					pc = r.end
-					continue outer
-				}
-				continue inner
-			case isa.BNE:
-				retired++
-				if regs[o.ra] != 0 {
-					if o.tgt >= 0 {
-						i = o.tgt
-						continue inner
-					}
-					pc = o.tpc
-					continue outer
-				}
-				i++
-				if i == n {
-					pc = r.end
-					continue outer
-				}
-				continue inner
-			case isa.BLT:
-				retired++
-				if int64(regs[o.ra]) < 0 {
-					if o.tgt >= 0 {
-						i = o.tgt
-						continue inner
-					}
-					pc = o.tpc
-					continue outer
-				}
-				i++
-				if i == n {
-					pc = r.end
-					continue outer
-				}
-				continue inner
-			case isa.BLE:
-				retired++
-				if int64(regs[o.ra]) <= 0 {
-					if o.tgt >= 0 {
-						i = o.tgt
-						continue inner
-					}
-					pc = o.tpc
-					continue outer
-				}
-				i++
-				if i == n {
-					pc = r.end
-					continue outer
-				}
-				continue inner
-			case isa.BGT:
-				retired++
-				if int64(regs[o.ra]) > 0 {
-					if o.tgt >= 0 {
-						i = o.tgt
-						continue inner
-					}
-					pc = o.tpc
-					continue outer
-				}
-				i++
-				if i == n {
-					pc = r.end
-					continue outer
-				}
-				continue inner
-			case isa.BGE:
-				retired++
-				if int64(regs[o.ra]) >= 0 {
-					if o.tgt >= 0 {
-						i = o.tgt
-						continue inner
-					}
-					pc = o.tpc
-					continue outer
-				}
-				i++
-				if i == n {
-					pc = r.end
-					continue outer
-				}
-				continue inner
-			case isa.BR:
-				retired++
-				if o.tgt >= 0 {
-					i = o.tgt
-					continue inner
-				}
-				pc = o.tpc
-				continue outer
-			case isa.JMP, isa.RET:
-				retired++
-				pc = regs[o.ra]
-				continue outer
-			case isa.CALL:
-				regs[o.wr] = o.pc + isa.InstBytes
-				retired++
-				if o.tgt >= 0 {
-					i = o.tgt
-					continue inner
-				}
-				pc = o.tpc
-				continue outer
-			case isa.CALLR:
-				t := regs[o.ra] // read before the link write: ra may alias rd
-				regs[o.wr] = o.pc + isa.InstBytes
-				retired++
-				pc = t
-				continue outer
-
-			case isa.HALT:
-				retired++
-				ma.halted = true
-				ma.pc = o.pc
-				ma.cur.r = r
-				return retired, nil
-
-			case kFCmpBr:
-				v := cmpRR(o.plain, regs[o.ra], regs[o.rb])
-				regs[o.wr] = v
-				if retired+2 > maxInsts {
-					break // retire only the compare (shared tail below)
-				}
-				retired += 2
-				if (v != 0) != o.neg {
-					if o.tgt >= 0 {
-						i = o.tgt
-						continue inner
-					}
-					pc = o.tpc
-					continue outer
-				}
-				i += 2
-				if i == n {
-					pc = r.end
-					continue outer
-				}
-				continue inner
-			case kFCmpiBr:
-				v := cmpRI(o.plain, regs[o.ra], o.imm)
-				regs[o.wr] = v
-				if retired+2 > maxInsts {
-					break
-				}
-				retired += 2
-				if (v != 0) != o.neg {
-					if o.tgt >= 0 {
-						i = o.tgt
-						continue inner
-					}
-					pc = o.tpc
-					continue outer
-				}
-				i += 2
-				if i == n {
-					pc = r.end
-					continue outer
-				}
-				continue inner
-			case kFSAddLd:
-				var t uint64
-				if o.plain == isa.S4ADD {
-					t = regs[o.ra]*4 + regs[o.rb]
-				} else {
-					t = regs[o.ra]*8 + regs[o.rb]
-				}
-				regs[o.wr] = t
-				if retired+2 > maxInsts {
-					break
-				}
-				addr := t + uint64(o.imm2)
-				switch o.k2 {
-				case isa.LD:
-					v, hit := pg.TryLoad64(addr)
-					if !hit {
-						v, _ = pg.Load64(addr)
-					}
-					regs[o.wr2] = v
-				case isa.LDW:
-					v, hit := pg.TryLoad32(addr)
-					if !hit {
-						v, _ = pg.Load32(addr)
-					}
-					regs[o.wr2] = uint64(int64(int32(uint32(v))))
-				default: // LDBU
-					v, hit := pg.TryLoad8(addr)
-					if !hit {
-						v, _ = pg.Load8(addr)
-					}
-					regs[o.wr2] = v
-				}
-				retired += 2
-				i += 2
-				if i == n {
-					pc = r.end
-					continue outer
-				}
-				continue inner
-			case kFLdiAdd:
-				regs[o.wr] = uint64(o.imm)
-				if retired+2 > maxInsts {
-					break
-				}
-				regs[o.wr2] = uint64(o.imm2) // imm2 = ldi.imm + addi.imm
-				retired += 2
-				i += 2
-				if i == n {
-					pc = r.end
-					continue outer
-				}
-				continue inner
-			}
-
-			// Shared sequential tail: one instruction retired, fall through
-			// to the next slot. (A fused op lands here only on the maxInsts
-			// boundary, after executing just its first constituent — and a
-			// fused op always has a successor slot, so i < n holds.)
-			retired++
-			i++
-			if i == n {
-				pc = r.end
-				continue outer
-			}
-		}
-		pc = r.base + uint64(i)*isa.InstBytes
 	}
-	ma.pc = pc
-	ma.cur.r = r
-	return retired, nil
+	return n, nil
 }
 
 // Step executes exactly one architectural instruction through Exec and
@@ -543,17 +150,16 @@ func (ma *Machine) Step(out *isa.Outcome) (isa.Op, error) {
 	} else {
 		ma.pc = out.NextPC(ma.pc)
 	}
-	return o.plain, nil
+	return o.op, nil
 }
 
-// Exec is the single-instruction kernel. It executes the one
-// architectural instruction of o (its unfused opcode, whether or not the
-// slot is fused) against regs and pg, and fills out with the Outcome
+// Exec is the single-instruction kernel. It executes o against regs and
+// pg, and fills out with the Outcome
 // isa.Execute would produce against the same state. It moves no PC.
 // Machine.Step and the detailed core's execute-at-fetch both run on it,
 // so the two share one per-instruction semantics.
 func Exec(o *Op, regs *Regs, pg *mem.Pager, out *isa.Outcome) {
-	op := o.plain
+	op := o.op
 	if op >= isa.LD && op <= isa.LDBU {
 		addr := regs[o.ra] + uint64(o.imm)
 		var v uint64
@@ -675,8 +281,6 @@ func Exec(o *Op, regs *Regs, pg *mem.Pager, out *isa.Outcome) {
 
 	case isa.BEQ, isa.BNE, isa.BLT, isa.BLE, isa.BGT, isa.BGE:
 		out.IsCtrl = true
-		// A branch is never the first constituent of a fusion, so when
-		// plain is a branch this slot is unfused and tpc is its own.
 		out.Target = o.tpc
 		a := regs[o.ra]
 		switch op {
@@ -734,7 +338,7 @@ func Exec(o *Op, regs *Regs, pg *mem.Pager, out *isa.Outcome) {
 // for helper-thread loads, whose value comes from the committed memory
 // image instead of a Pager.
 func ExecLoad(o *Op, regs *Regs, v uint64, ok bool, out *isa.Outcome) {
-	if o.plain == isa.LDW {
+	if o.op == isa.LDW {
 		v = uint64(int64(int32(uint32(v))))
 	}
 	*out = isa.Outcome{IsMem: true, Addr: regs[o.ra] + uint64(o.imm), Size: int(o.sz), Fault: !ok}

@@ -102,86 +102,11 @@ func (pg *Pager) fillWrite(pn uint64) *[PageSize]byte {
 
 // The Load/Store accessors below are split into a hand-inlinable fast
 // path (cache hit on a current-generation entry, access within one page)
-// and a *Slow fallback. The fast path must stay under the compiler's
-// inlining budget: in the compiled engine's dispatch loop the hit case
-// then compiles down to an index, two compares, and the bounded
-// load/store, with no call. A hit on a cached entry implies the page is
-// mapped, so pn >= 1 and the null-page check is subsumed by the tag
-// compare (the null page is never cached, and noPage matches no address's
-// page number).
-
-// The Try* probes are the same fast paths without the slow-path call, so
-// they fit the compiler's inlining budget (the *Slow call alone costs more
-// than half of it). A dispatch loop issues the probe inline and only pays
-// a function call on a cache miss; `hit == false` says nothing about
-// faulting — retry through the full accessor.
-
-// TryLoad64 reads 8 little-endian bytes if addr hits the cached page.
-func (pg *Pager) TryLoad64(addr uint64) (v uint64, hit bool) {
-	pn := addr >> pageShift
-	off := addr & (PageSize - 1)
-	e := &pg.e[pn&(pagerWays-1)]
-	if e.pnR == pn && pg.gen == pg.m.gen && off <= PageSize-8 {
-		return binary.LittleEndian.Uint64(e.p[off:]), true
-	}
-	return 0, false
-}
-
-// TryLoad32 reads 4 little-endian bytes, zero-extended, on a cache hit.
-func (pg *Pager) TryLoad32(addr uint64) (v uint64, hit bool) {
-	pn := addr >> pageShift
-	off := addr & (PageSize - 1)
-	e := &pg.e[pn&(pagerWays-1)]
-	if e.pnR == pn && pg.gen == pg.m.gen && off <= PageSize-4 {
-		return uint64(binary.LittleEndian.Uint32(e.p[off:])), true
-	}
-	return 0, false
-}
-
-// TryLoad8 reads one byte on a cache hit.
-func (pg *Pager) TryLoad8(addr uint64) (v uint64, hit bool) {
-	pn := addr >> pageShift
-	e := &pg.e[pn&(pagerWays-1)]
-	if e.pnR == pn && pg.gen == pg.m.gen {
-		return uint64(e.p[addr&(PageSize-1)]), true
-	}
-	return 0, false
-}
-
-// TryStore64 writes 8 little-endian bytes if addr hits a writable page.
-func (pg *Pager) TryStore64(addr, v uint64) (hit bool) {
-	pn := addr >> pageShift
-	off := addr & (PageSize - 1)
-	e := &pg.e[pn&(pagerWays-1)]
-	if e.pnW == pn && pg.gen == pg.m.gen && off <= PageSize-8 {
-		binary.LittleEndian.PutUint64(e.p[off:], v)
-		return true
-	}
-	return false
-}
-
-// TryStore32 writes 4 little-endian bytes on a writable hit.
-func (pg *Pager) TryStore32(addr uint64, v uint32) (hit bool) {
-	pn := addr >> pageShift
-	off := addr & (PageSize - 1)
-	e := &pg.e[pn&(pagerWays-1)]
-	if e.pnW == pn && pg.gen == pg.m.gen && off <= PageSize-4 {
-		binary.LittleEndian.PutUint32(e.p[off:], v)
-		return true
-	}
-	return false
-}
-
-// TryStore8 writes one byte on a writable hit.
-func (pg *Pager) TryStore8(addr uint64, v byte) (hit bool) {
-	pn := addr >> pageShift
-	e := &pg.e[pn&(pagerWays-1)]
-	if e.pnW == pn && pg.gen == pg.m.gen {
-		e.p[addr&(PageSize-1)] = v
-		return true
-	}
-	return false
-}
+// and a *Slow fallback, so a hit costs an index, two compares, and the
+// bounded load/store. A hit on a cached entry implies the page is mapped,
+// so pn >= 1 and the null-page check is subsumed by the tag compare (the
+// null page is never cached, and noPage matches no address's page
+// number).
 
 // Load64 reads 8 little-endian bytes at addr; ok is false on fault.
 func (pg *Pager) Load64(addr uint64) (uint64, bool) {
