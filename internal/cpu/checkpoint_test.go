@@ -13,6 +13,23 @@ import (
 	"repro/internal/workloads"
 )
 
+// sharedWorkloads is built once per test binary, so every test shares each
+// workload's image, compiled program, slice table and initial memory.
+// Tests must not modify these values; one that needs to builds its own.
+var sharedWorkloads = sync.OnceValue(workloads.All)
+
+// sharedWorkload returns the shared value of the named workload.
+func sharedWorkload(t *testing.T, name string) *workloads.Workload {
+	t.Helper()
+	for _, w := range sharedWorkloads() {
+		if w.Name == name {
+			return w
+		}
+	}
+	t.Fatalf("no workload %q", name)
+	return nil
+}
+
 // straightThrough is the reference methodology: warm under the warm config,
 // quiesce, swap in the measurement config, reset stats, measure. The
 // checkpointed methodology (Checkpoint + Restore) must be indistinguishable
@@ -75,7 +92,7 @@ func diffSnapshots(t *testing.T, name string, a, b stats.Snapshot) {
 // warm-then-measure run.
 func TestCheckpointEquivalence(t *testing.T) {
 	const warm, run = 30_000, 60_000
-	for _, w := range workloads.All() {
+	for _, w := range sharedWorkloads() {
 		w := w
 		t.Run(w.Name, func(t *testing.T) {
 			t.Parallel()
@@ -93,7 +110,7 @@ func TestCheckpointEquivalence(t *testing.T) {
 // TestCheckpointWarmConfigSharing: a checkpoint captured once serves every
 // measurement config with the same warm fingerprint, concurrently.
 func TestCheckpointWarmConfigSharing(t *testing.T) {
-	w := workloads.VPR()
+	w := sharedWorkload(t, "vpr")
 	base := Config4Wide()
 	table := w.SliceTable()
 
@@ -164,7 +181,7 @@ func TestWarmConfigFingerprint(t *testing.T) {
 // must never restore into a core configured for another — neither a
 // different predictor kind nor the same kind at a different geometry.
 func TestRestorePredictorMismatch(t *testing.T) {
-	w := workloads.VPR()
+	w := sharedWorkload(t, "vpr")
 	c := MustNew(Config4Wide(), w.Image, w.NewMemory(), w.Entry, nil)
 	c.Run(10_000)
 	ck, err := c.Checkpoint()
@@ -191,7 +208,7 @@ func TestRestorePredictorMismatch(t *testing.T) {
 
 // TestRestoreGeometryMismatch: structural config changes must be rejected.
 func TestRestoreGeometryMismatch(t *testing.T) {
-	w := workloads.VPR()
+	w := sharedWorkload(t, "vpr")
 	c := MustNew(Config4Wide(), w.Image, w.NewMemory(), w.Entry, nil)
 	c.Run(10_000)
 	ck, err := c.Checkpoint()

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/bpred"
-	"repro/internal/workloads"
 )
 
 // makeCheckpoint builds a real checkpoint from a short vpr warm (with
@@ -18,10 +17,7 @@ func makeCheckpoint(t *testing.T) *Checkpoint {
 
 func makeCheckpointCfg(t *testing.T, cfg Config) *Checkpoint {
 	t.Helper()
-	w, err := workloads.ByName("vpr")
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := sharedWorkload(t, "vpr")
 	c := MustNew(cfg.WarmConfig(), w.Image, w.NewMemory(), w.Entry, w.SliceTable())
 	c.Run(20_000)
 	ck, err := c.Checkpoint()
@@ -68,10 +64,7 @@ func TestCodecRoundTrip(t *testing.T) {
 // TestCodecRestoredCoreMatches: a core restored from the decoded bytes
 // must measure identically to one restored from the original checkpoint.
 func TestCodecRestoredCoreMatches(t *testing.T) {
-	w, err := workloads.ByName("vpr")
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := sharedWorkload(t, "vpr")
 	ck := makeCheckpoint(t)
 	dec, err := DecodeCheckpoint(ck.EncodeBinary())
 	if err != nil {

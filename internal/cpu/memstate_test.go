@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/mem"
 	"repro/internal/stats"
-	"repro/internal/workloads"
 )
 
 // snapshotPages decodes a memory snapshot into its pages, keyed by page
@@ -38,7 +37,7 @@ func snapshotPages(s *mem.Snapshot) map[uint64][]byte {
 // leaves it mapped.
 func TestMemoryEndStateMatchesFunctional(t *testing.T) {
 	const run = 150_000
-	for _, w := range workloads.All() {
+	for _, w := range sharedWorkloads() {
 		for _, withSlices := range []bool{false, true} {
 			w, withSlices := w, withSlices
 			t.Run(fmt.Sprintf("%s/slices=%t", w.Name, withSlices), func(t *testing.T) {
@@ -99,10 +98,7 @@ func TestMemoryEndStateMatchesFunctional(t *testing.T) {
 // must end in the same state as each other and as the original core.
 func TestCheckpointCopyOnWrite(t *testing.T) {
 	const warm, run = 30_000, 20_000
-	w, err := workloads.ByName("gcc")
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := sharedWorkload(t, "gcc")
 	table := w.SliceTable()
 	c := MustNew(Config4Wide(), w.Image, w.NewMemory(), w.Entry, table)
 	c.Run(warm)

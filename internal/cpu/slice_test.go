@@ -274,10 +274,8 @@ func TestEightWideWithSlices(t *testing.T) {
 // when the table is built; a lazy fill would be a data race under -race.
 // Both cores must also simulate identically.
 func TestSharedTableAcrossCores(t *testing.T) {
-	w, err := workloads.ByName("gcc")
-	if err != nil {
-		t.Fatal(err)
-	}
+	// A value of its own, not the shared one: the table must be new here.
+	w := workloads.Gcc()
 	table := w.SliceTable()
 
 	// Both cores are built at the same moment, before this goroutine reads

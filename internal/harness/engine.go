@@ -20,9 +20,22 @@ import (
 // it needs as RunSpecs; the engine executes each unique spec exactly once —
 // across drivers, not just within one — and fans independent runs out over
 // a bounded worker pool. Results are deterministic and input-ordered: a
-// simulation is a pure function of its spec (fresh core, fresh memory,
-// shared read-only image and slice table), so scheduling order cannot
-// change any result, only wall time.
+// simulation is a pure function of its spec, so scheduling order cannot
+// change any result, only wall time. Each simulation gets a fresh core
+// and its own copy-on-write view of memory; what runs share is read-only:
+// the workload's image, its compiled program (compiled.Cached), its slice
+// table, its initial-memory snapshot and the warm checkpoints.
+//
+// The engine builds each workload once. A RunSpec names its workload, and
+// the engine resolves that name to the *workloads.Workload value an
+// experiment call handed it (baseSpec records each value as it builds a
+// spec), so every simulation of a program shares one image, compiled
+// program, slice table and initial memory. A name no experiment handed
+// over resolves through workloads.ByName once per engine. When two
+// different values arrive under one name, the first one the engine saw is
+// the program every spec with that name runs; a later value still
+// supplies the region lengths of the specs built from it, but never its
+// image or memory.
 
 // RunSpec identifies one simulation: which workload, under which machine
 // configuration, with or without its slices, over which region. Two specs
@@ -135,6 +148,37 @@ type Engine struct {
 	progressMu sync.Mutex
 	profiles   sync.Map // baseline spec key → profile.Result
 	sets       sync.Map // SliceSet name → *SliceSet
+
+	wmu sync.Mutex                     // guards ws
+	ws  map[string]*workloads.Workload // workload name → the value runs use
+}
+
+// adopt records w as the program this engine runs under w.Name, unless a
+// value is already recorded under that name, and returns the recorded one.
+func (e *Engine) adopt(w *workloads.Workload) *workloads.Workload {
+	e.wmu.Lock()
+	defer e.wmu.Unlock()
+	if v, ok := e.ws[w.Name]; ok {
+		return v
+	}
+	e.ws[w.Name] = w
+	return w
+}
+
+// workload resolves a spec's workload name: the value an experiment handed
+// over, or else one workloads.ByName per engine.
+func (e *Engine) workload(name string) (*workloads.Workload, error) {
+	e.wmu.Lock()
+	defer e.wmu.Unlock()
+	if w, ok := e.ws[name]; ok {
+		return w, nil
+	}
+	w, err := workloads.ByName(name)
+	if err != nil {
+		return nil, err
+	}
+	e.ws[name] = w
+	return w, nil
 }
 
 // RegisterSliceSet makes a slice set available to RunSpecs by name. Names
@@ -162,6 +206,7 @@ func NewEngine(p Params, jobs int) *Engine {
 		Jobs:   jobs,
 		Ckpt:   NewCheckpointer("", WarmDetailed),
 		memo:   make(map[string]*memoEntry),
+		ws:     make(map[string]*workloads.Workload),
 	}
 }
 
@@ -236,7 +281,7 @@ func (e *Engine) run(spec RunSpec, o OracleOptions) (*RunResult, error) {
 		close(en.done)
 		return nil, err
 	}
-	w, err := workloads.ByName(spec.Workload)
+	w, err := e.workload(spec.Workload)
 	if err != nil {
 		return fail(err)
 	}
@@ -347,8 +392,10 @@ func (e *Engine) mustRunAll(specs []RunSpec) []*RunResult {
 
 // baseSpec is the plain baseline run of w under cfg — no slices, no
 // perfect modes beyond what cfg already carries — with the drivers'
-// region lengths and predictor defaults.
+// region lengths and predictor defaults. It records w as the program the
+// spec's name runs (see adopt).
 func (e *Engine) baseSpec(w *workloads.Workload, cfg cpu.Config) RunSpec {
+	e.adopt(w)
 	warm, run := e.Params.regions(w)
 	if cfg.BPred == "" {
 		cfg.BPred = e.Params.BPred

@@ -182,8 +182,10 @@ type autoPrep struct {
 // prepareAuto runs the construction half of the pipeline for one workload:
 // profile → trace → cluster → fork-select → build, registering one slice
 // set per surviving candidate. No simulation happens here beyond the
-// memoized profiling baseline.
+// memoized profiling baseline. Candidates are built from the engine's
+// value for w's name (see Engine.adopt), the program their runs warm up.
 func (e *Engine) prepareAuto(w *workloads.Workload, p AutoParams) autoPrep {
+	w = e.adopt(w)
 	prep := autoPrep{row: FigureAutoRow{Program: w.Name}}
 	row := &prep.row
 

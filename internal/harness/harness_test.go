@@ -2,6 +2,7 @@ package harness
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/workloads"
@@ -10,15 +11,25 @@ import (
 // small keeps harness tests fast: tiny regions on a few workloads.
 var small = Params{Scale: 0.15}
 
+// allWorkloads is built once per test binary, so every test shares each
+// workload's image, compiled program, slice table and initial memory.
+// Tests must not modify these values; one that needs to builds its own.
+var allWorkloads = sync.OnceValue(workloads.All)
+
 func pick(t *testing.T, names ...string) []*workloads.Workload {
 	t.Helper()
 	var ws []*workloads.Workload
 	for _, n := range names {
-		w, err := workloads.ByName(n)
-		if err != nil {
-			t.Fatal(err)
+		var found *workloads.Workload
+		for _, w := range allWorkloads() {
+			if w.Name == n {
+				found = w
+			}
 		}
-		ws = append(ws, w)
+		if found == nil {
+			t.Fatalf("no workload %q", n)
+		}
+		ws = append(ws, found)
 	}
 	return ws
 }
@@ -65,7 +76,7 @@ func TestFigure1Ordering(t *testing.T) {
 }
 
 func TestTable3MatchesSliceMetadata(t *testing.T) {
-	ws := workloads.All()
+	ws := allWorkloads()
 	rows := Table3(ws)
 	var nSlices int
 	for _, w := range ws {
@@ -152,7 +163,7 @@ func TestFormatTable1(t *testing.T) {
 }
 
 func TestParamsRegions(t *testing.T) {
-	w, _ := workloads.ByName("vpr")
+	w := pick(t, "vpr")[0]
 	warm, run := Params{}.regions(w)
 	if warm != w.SuggestedWarmup || run != w.SuggestedRun {
 		t.Errorf("default regions = %d/%d", warm, run)

@@ -204,11 +204,15 @@ func (e *OffImageError) Error() string {
 	return fmt.Sprintf("compiled: pc %#x is outside the image", e.PC)
 }
 
-// Images are process-lifetime singletons (the 12 workloads), so a small
-// identity-keyed cache amortizes compilation across every checkpoint
-// build, oracle, and functional run that shares an image. The cap only
-// matters for churny transient images (fuzzers); past it, Cached compiles
-// without caching.
+// The cache is keyed by image identity, so it amortizes compilation across
+// every checkpoint build, oracle and functional run that shares one image
+// value. Images are not process-wide singletons: every workloads.All or
+// ByName call builds twelve new ones. A harness.Engine resolves all its
+// runs to the workload values it was handed, so an engine compiles each
+// image once; a process that keeps building fresh images (tests that call
+// All per test, fuzzers) fills the cache with images no one uses again.
+// Entries are never evicted; past the cap, Cached compiles without
+// caching.
 const cacheCap = 128
 
 var (

@@ -12,6 +12,7 @@ package mem
 import (
 	"encoding/binary"
 	"errors"
+	"maps"
 	"sort"
 )
 
@@ -26,10 +27,15 @@ type Memory struct {
 	pages map[uint64]*[PageSize]byte
 	// bytesMapped counts materialized pages for footprint reporting.
 	bytesMapped uint64
-	// shared marks pages whose backing array is owned by a Snapshot and
-	// must be copied before the first write (copy-on-write). Nil until the
-	// memory participates in a snapshot, so ordinary runs never consult it.
-	shared map[uint64]struct{}
+	// snap is the latest Snapshot this memory shares pages with. A page is
+	// copy-on-write exactly while it is still snap's page for its page
+	// number: a snapshot captures the whole page table, and a page leaves
+	// sharing only by being copied. Nil until the memory takes part in a
+	// snapshot, so ordinary runs never consult it.
+	snap *Snapshot
+	// dirty records a page created or copied since snap was taken; until
+	// then Snapshot returns snap itself instead of copying the page table.
+	dirty bool
 	// gen counts ownership epochs: Snapshot bumps it, which tells every
 	// Pager that cached page pointers (and their writability) are stale.
 	gen uint64
@@ -40,6 +46,11 @@ func New() *Memory {
 	return &Memory{pages: make(map[uint64]*[PageSize]byte)}
 }
 
+// page returns the page holding addr, or nil when it is unmapped. With
+// create it returns a writable page: it materializes an unmapped one and
+// copies a snapshot's page first (copy-on-write; the test is shares,
+// written out so that page stays within the inliner's budget — it is on
+// every Memory access's path).
 func (m *Memory) page(addr uint64, create bool) *[PageSize]byte {
 	pn := addr >> pageShift
 	p := m.pages[pn]
@@ -48,19 +59,24 @@ func (m *Memory) page(addr uint64, create bool) *[PageSize]byte {
 			p = new([PageSize]byte)
 			m.pages[pn] = p
 			m.bytesMapped += PageSize
+			m.dirty = true
 		}
 		return p
 	}
-	if create && len(m.shared) != 0 {
-		if _, ok := m.shared[pn]; ok {
-			cp := new([PageSize]byte)
-			*cp = *p
-			m.pages[pn] = cp
-			delete(m.shared, pn)
-			return cp
-		}
+	if create && m.snap != nil && m.snap.pages[pn] == p {
+		cp := new([PageSize]byte)
+		*cp = *p
+		m.pages[pn] = cp
+		m.dirty = true
+		return cp
 	}
 	return p
+}
+
+// shares reports whether p, the page mapped at page number pn, belongs to
+// a snapshot and so must be copied before it is written.
+func (m *Memory) shares(pn uint64, p *[PageSize]byte) bool {
+	return m.snap != nil && m.snap.pages[pn] == p
 }
 
 // Mapped reports whether addr lies on a materialized, non-null page.
@@ -199,36 +215,24 @@ type Snapshot struct {
 
 // Snapshot captures the current contents. The receiver keeps working but
 // copies any snapshotted page before its next write, so the returned image
-// stays frozen. Cost is O(pages) pointer copies, not O(bytes).
+// stays frozen. Cost is one copy of the page table, not of the pages, and
+// nothing at all when no page was created or copied since the memory's
+// last snapshot (or since NewFromSnapshot): that snapshot is returned.
 func (m *Memory) Snapshot() *Snapshot {
-	s := &Snapshot{
-		pages:       make(map[uint64]*[PageSize]byte, len(m.pages)),
-		bytesMapped: m.bytesMapped,
+	if m.snap != nil && !m.dirty {
+		return m.snap
 	}
+	m.snap = &Snapshot{pages: maps.Clone(m.pages), bytesMapped: m.bytesMapped}
+	m.dirty = false
 	m.gen++
-	if m.shared == nil {
-		m.shared = make(map[uint64]struct{}, len(m.pages))
-	}
-	for pn, p := range m.pages {
-		s.pages[pn] = p
-		m.shared[pn] = struct{}{}
-	}
-	return s
+	return m.snap
 }
 
 // NewFromSnapshot returns a Memory whose initial contents are the
-// snapshot's, sharing its pages copy-on-write. Restoring is O(pages).
+// snapshot's, sharing its pages copy-on-write. Restoring copies the page
+// table, not the pages.
 func NewFromSnapshot(s *Snapshot) *Memory {
-	m := &Memory{
-		pages:       make(map[uint64]*[PageSize]byte, len(s.pages)),
-		bytesMapped: s.bytesMapped,
-		shared:      make(map[uint64]struct{}, len(s.pages)),
-	}
-	for pn, p := range s.pages {
-		m.pages[pn] = p
-		m.shared[pn] = struct{}{}
-	}
-	return m
+	return &Memory{pages: maps.Clone(s.pages), bytesMapped: s.bytesMapped, snap: s}
 }
 
 // Footprint returns the number of bytes of pages captured in the snapshot.

@@ -80,10 +80,8 @@ func (pg *Pager) fill(pn uint64) *[PageSize]byte {
 		return nil
 	}
 	pnW := pn
-	if len(pg.m.shared) != 0 {
-		if _, sh := pg.m.shared[pn]; sh {
-			pnW = noPage
-		}
+	if pg.m.shares(pn, p) {
+		pnW = noPage
 	}
 	pg.e[pn&(pagerWays-1)] = pagerEntry{pnR: pn, pnW: pnW, p: p}
 	return p

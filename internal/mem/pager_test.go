@@ -208,3 +208,40 @@ func TestPagerCrossPageStoreOnSharedPage(t *testing.T) {
 		t.Errorf("snapshot reads %d after the store, want 1", v)
 	}
 }
+
+// TestUnwrittenViewSnapshot: a view that has not written since
+// NewFromSnapshot snapshots to its base for free, and that snapshot stays
+// frozen when the view then stores through a Pager — to an existing page
+// and to a new one.
+func TestUnwrittenViewSnapshot(t *testing.T) {
+	ref := New()
+	ref.WriteU64(0x40000, 1)
+	base := ref.Snapshot()
+
+	m := NewFromSnapshot(base)
+	if m.Snapshot() != base {
+		t.Fatal("an unwritten view copied its page table")
+	}
+	var pg Pager
+	pg.Init(m)
+	pg.Store64(0x40000, 2)
+	if m.Snapshot() == base {
+		t.Fatal("a view that stored still snapshots to its base")
+	}
+	pg.Store64(0x80000, 3)
+	if v, _ := NewFromSnapshot(base).Read(0x40000, 8); v != 1 {
+		t.Errorf("base reads %d after the view stored, want 1", v)
+	}
+	if NewFromSnapshot(base).Mapped(0x80000) {
+		t.Error("the view's new page leaked into its base")
+	}
+
+	// Materializing a page without touching a shared one also ends the
+	// shortcut.
+	m = NewFromSnapshot(base)
+	m.WriteU64(0x80000, 4)
+	ref.WriteU64(0x80000, 4)
+	if s := m.Snapshot(); s == base || !s.Equal(ref.Snapshot()) {
+		t.Error("a view with a new page snapshots wrongly")
+	}
+}

@@ -41,9 +41,9 @@ const (
 // point, and its speculative slices.
 //
 // Concurrency: a single *Workload may back many simultaneously running
-// cores. Image, Slices, and the memoized slice table are immutable after
-// construction and safe to share; per-run mutable state (the memory) is
-// created fresh by NewMemory for every run.
+// cores. Image, Slices, the memoized slice table and the memoized initial
+// memory are immutable after construction and safe to share; every run
+// gets its own copy-on-write view of that memory from NewMemory.
 type Workload struct {
 	Name        string
 	Description string
@@ -53,7 +53,8 @@ type Workload struct {
 	// concurrent cores share one Image safely.
 	Image  *asm.Image
 	Slices []*slicehw.Slice
-	// InitMem populates a fresh memory with the workload's data.
+	// InitMem populates a fresh memory with the workload's data. NewMemory
+	// runs it once per Workload value; set it before the first NewMemory.
 	InitMem func(m *mem.Memory)
 	// SuggestedRun is a measurement region length that exercises the
 	// steady-state behaviour (instructions).
@@ -63,15 +64,24 @@ type Workload struct {
 
 	tableOnce sync.Once
 	table     *slicehw.Table
+	memOnce   sync.Once
+	initMem   *mem.Snapshot
 }
 
-// NewMemory returns a freshly initialized memory for one run.
+// NewMemory returns a memory at the workload's initial state for one run.
+// InitMem runs on first use only; every call returns a copy-on-write view
+// of that one snapshot. The snapshot's pages are never written — a view
+// copies a page before its first store to it — and each view owns its
+// page map, so views handed to concurrent cores are independent.
 func (w *Workload) NewMemory() *mem.Memory {
-	m := mem.New()
-	if w.InitMem != nil {
-		w.InitMem(m)
-	}
-	return m
+	w.memOnce.Do(func() {
+		m := mem.New()
+		if w.InitMem != nil {
+			w.InitMem(m)
+		}
+		w.initMem = m.Snapshot()
+	})
+	return mem.NewFromSnapshot(w.initMem)
 }
 
 // SliceTable returns the front-end slice/PGI table for this workload,
@@ -84,7 +94,9 @@ func (w *Workload) SliceTable() *slicehw.Table {
 	return w.table
 }
 
-// All returns every workload, in the paper's Table 2 order.
+// All returns every workload, in the paper's Table 2 order. Each call
+// builds new values: callers may adjust fields such as SuggestedWarmup on
+// theirs without affecting anyone else's.
 func All() []*Workload {
 	return []*Workload{
 		Bzip2(), Crafty(), Eon(), Gap(), Gcc(), Gzip(),
